@@ -5,7 +5,8 @@
 #   1. Every intra-repo markdown link ([text](path) and bare `path`
 #      references to docs/) resolves to an existing file.
 #   2. Every span name documented in docs/OBSERVABILITY.md is emitted
-#      by the implementation, and vice versa.
+#      by the implementation (ScopedTrace or TraceRegistry::record),
+#      and vice versa.
 #   3. Every JSON schema tag and field name documented is present in
 #      the serializers.
 #
@@ -44,9 +45,9 @@ done
 doc=docs/OBSERVABILITY.md
 [ -f "$doc" ] || { err "$doc missing"; exit 1; }
 
-documented=$(grep -o '^| `[a-z_]*` |' "$doc" | tr -d '|` ' | sort -u)
-emitted=$(grep -rh 'obs::ScopedTrace' src/ \
-          | grep -o '"[a-z_]*"' | tr -d '"' | sort -u)
+documented=$(grep -o '^| `[a-z_.]*` |' "$doc" | tr -d '|` ' | sort -u)
+emitted=$(grep -rhE 'obs::ScopedTrace|->record\(' src/ \
+          | grep -o '"[a-z_.]*"' | tr -d '"' | sort -u)
 
 for name in $documented; do
     echo "$emitted" | grep -qx "$name" \

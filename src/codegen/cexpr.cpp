@@ -34,24 +34,32 @@ wrapNarrow(DType t, const std::string &s)
     return s;
 }
 
+/**
+ * The libm call for @p fn, spelled as the GCC builtin: the generated
+ * code needs no <cmath> (whose parse cost every JIT unit would pay),
+ * and the builtin is the same function the compiler maps `expf` to.
+ */
 std::string
 mathFnName(MathFnKind fn, DType t)
 {
     const bool f32 = (t == DType::Float);
     switch (fn) {
-      case MathFnKind::Exp: return f32 ? "expf" : "exp";
-      case MathFnKind::Log: return f32 ? "logf" : "log";
-      case MathFnKind::Sqrt: return f32 ? "sqrtf" : "sqrt";
-      case MathFnKind::Sin: return f32 ? "sinf" : "sin";
-      case MathFnKind::Cos: return f32 ? "cosf" : "cos";
-      case MathFnKind::Pow: return f32 ? "powf" : "pow";
-      case MathFnKind::Floor: return f32 ? "floorf" : "floor";
-      case MathFnKind::Ceil: return f32 ? "ceilf" : "ceil";
+      case MathFnKind::Exp: return f32 ? "__builtin_expf" : "__builtin_exp";
+      case MathFnKind::Log: return f32 ? "__builtin_logf" : "__builtin_log";
+      case MathFnKind::Sqrt:
+        return f32 ? "__builtin_sqrtf" : "__builtin_sqrt";
+      case MathFnKind::Sin: return f32 ? "__builtin_sinf" : "__builtin_sin";
+      case MathFnKind::Cos: return f32 ? "__builtin_cosf" : "__builtin_cos";
+      case MathFnKind::Pow: return f32 ? "__builtin_powf" : "__builtin_pow";
+      case MathFnKind::Floor:
+        return f32 ? "__builtin_floorf" : "__builtin_floor";
+      case MathFnKind::Ceil:
+        return f32 ? "__builtin_ceilf" : "__builtin_ceil";
       case MathFnKind::Abs:
         if (t == DType::Float)
-            return "fabsf";
+            return "__builtin_fabsf";
         if (t == DType::Double)
-            return "fabs";
+            return "__builtin_fabs";
         return "llabs";
     }
     internalError("unknown math fn");
@@ -83,7 +91,8 @@ emitBinOp(const dsl::BinOpNode &b, const EmitEnv &env)
                     ")"));
       case BinOpKind::Mod:
         if (flt) {
-            return std::string(t == DType::Float ? "fmodf" : "fmod") +
+            return std::string(t == DType::Float ? "__builtin_fmodf"
+                                                 : "__builtin_fmod") +
                    "(" + a + ", " + c + ")";
         }
         return wrapNarrow(
@@ -199,9 +208,9 @@ std::string
 floatLiteral(double v, DType t)
 {
     if (std::isinf(v))
-        return v < 0 ? "(-INFINITY)" : "INFINITY";
+        return v < 0 ? "(-__builtin_inff())" : "__builtin_inff()";
     if (std::isnan(v))
-        return "NAN";
+        return "__builtin_nanf(\"\")";
     char buf[64];
     if (t == DType::Float) {
         std::snprintf(buf, sizeof(buf), "%.9gf", v);

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <optional>
 #include <set>
+#include <string_view>
+#include <thread>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "codegen/cexpr.hpp"
 #include "codegen/vexpr.hpp"
 #include "codegen/writer.hpp"
+#include "dsl/transform.hpp"
 #include "machine/machine.hpp"
 #include "poly/cond_box.hpp"
 #include "poly/range.hpp"
@@ -36,6 +43,105 @@ sanitize(const std::string &name)
     }
     if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0])))
         out = "v_" + out;
+    return out;
+}
+
+/** A set of identifiers, viewing strings that outlive it. */
+using Names = std::unordered_set<std::string_view>;
+
+/**
+ * Call @p out with each identifier a chunk of generated C++ mentions
+ * (numbers skipped).
+ */
+template <typename Out>
+void
+forEachIdentifier(std::string_view code, Out out)
+{
+    auto word = [&](std::size_t j) {
+        return j < code.size() &&
+               (std::isalnum(static_cast<unsigned char>(code[j])) ||
+                code[j] == '_');
+    };
+    for (std::size_t i = 0; i < code.size();) {
+        const unsigned char c = code[i];
+        if (std::isalpha(c) || c == '_') {
+            std::size_t j = i + 1;
+            while (word(j))
+                ++j;
+            out(code.substr(i, j - i));
+            i = j;
+        } else if (std::isdigit(c)) {
+            while (word(i) || (i < code.size() && code[i] == '.'))
+                ++i;
+        } else {
+            ++i;
+        }
+    }
+}
+
+/**
+ * One function-scope local of the generated code (a parameter, tile
+ * size, image or buffer pointer, extent, stride or scratchpad origin):
+ * its name, its declaration, and the identifiers the declaration
+ * reads.
+ */
+struct LocalDef
+{
+    std::string name;
+    std::string text;
+    std::vector<std::string> uses;
+
+    LocalDef(std::string n, std::string t)
+        : name(std::move(n)), text(std::move(t))
+    {
+        forEachIdentifier(text, [&](std::string_view id) {
+            if (id != name)
+                uses.emplace_back(id);
+        });
+    }
+};
+
+/** LocalDef positions by name. */
+using LocalIndex = std::unordered_map<std::string_view, std::size_t>;
+
+LocalIndex
+indexLocals(const std::vector<LocalDef> &defs)
+{
+    LocalIndex index;
+    for (std::size_t i = 0; i < defs.size(); ++i)
+        index.emplace(defs[i].name, i);
+    return index;
+}
+
+/**
+ * The declarations among @p defs (in dependency order, indexed by
+ * @p index) that code mentioning @p needed requires, transitively, in
+ * declaration order.  Names in @p args are function arguments: never
+ * declared, and @p needed ends up holding every one the function reads.
+ */
+std::vector<std::string>
+neededLocals(const std::vector<LocalDef> &defs, const LocalIndex &index,
+             Names &needed, const Names &args)
+{
+    std::vector<std::string_view> work(needed.begin(), needed.end());
+    std::vector<bool> keep(defs.size(), false);
+    while (!work.empty()) {
+        const std::string_view n = work.back();
+        work.pop_back();
+        const auto it = index.find(n);
+        if (it == index.end() || keep[it->second] || args.count(n))
+            continue;
+        keep[it->second] = true;
+        for (const std::string &u : defs[it->second].uses) {
+            if (needed.insert(u).second)
+                work.push_back(u);
+        }
+    }
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < defs.size(); ++i) {
+        if (keep[i])
+            out.push_back(defs[i].text);
+    }
     return out;
 }
 
@@ -117,7 +223,133 @@ struct CaseNest
 {
     std::vector<LoopDim> dims;
     std::vector<std::string> guards;
+    /** The case value specialised to this nest by specializeSelects;
+     * undefined means the case's own value. */
+    dsl::Expr value;
 };
+
+/**
+ * Function source per JIT unit.  A unit costs a compiler process and
+ * its prelude parse (about 0.1 s), so a small pipeline (unsharp,
+ * bilateral) stays one unit.  Measured on the paper apps at scale 0.5
+ * (4 cores, g++ 12): 10, 12 and 16 KB all cold-build the seven in
+ * 7–8.5 s; 32 KB and 48 KB in 8.3 and 10.5–11.6 s.
+ */
+constexpr std::size_t kUnitBytes = 12 << 10;
+
+/** Most nests specializeSelects makes out of one loop dimension. */
+constexpr std::int64_t kMaxSelectSplit = 4;
+
+/** Whether a select condition in @p value reads loop variable @p var. */
+bool
+selectsOn(const dsl::Expr &value, int var)
+{
+    bool hit = false;
+    dsl::forEachNode(value, [&](const dsl::ExprNode &n) {
+        if (hit || n.kind() != dsl::ExprKind::Select)
+            return;
+        dsl::forEachNode(
+            static_cast<const dsl::SelectNode &>(n).cond,
+            [&](const dsl::ExprNode &m) {
+                hit |= m.kind() == dsl::ExprKind::VarRef &&
+                       static_cast<const dsl::VarRefNode &>(m).var->id ==
+                           var;
+            });
+    });
+    return hit;
+}
+
+/** The literal modulus of a `var % m` node, or 0 when @p n is not one. */
+std::int64_t
+modulusOf(const dsl::ExprNode &n, int var)
+{
+    if (n.kind() != dsl::ExprKind::BinOp)
+        return 0;
+    const auto &b = static_cast<const dsl::BinOpNode &>(n);
+    if (b.op != dsl::BinOpKind::Mod ||
+        b.a.node().kind() != dsl::ExprKind::VarRef ||
+        b.b.node().kind() != dsl::ExprKind::ConstInt ||
+        static_cast<const dsl::VarRefNode &>(b.a.node()).var->id != var)
+        return 0;
+    return static_cast<const dsl::ConstIntNode &>(b.b.node()).value;
+}
+
+/**
+ * The modulus m (2..kMaxSelectSplit) of a `var % m` that a select
+ * condition in @p value tests (`x % 2 == 0 ? ... : ...`), or 0.
+ */
+std::int64_t
+selectModulus(const dsl::Expr &value, int var)
+{
+    std::int64_t m = 0;
+    dsl::forEachNode(value, [&](const dsl::ExprNode &n) {
+        if (m != 0 || n.kind() != dsl::ExprKind::Select)
+            return;
+        dsl::forEachNode(
+            static_cast<const dsl::SelectNode &>(n).cond,
+            [&](const dsl::ExprNode &c) {
+                const std::int64_t k = modulusOf(c, var);
+                if (m == 0 && k >= 2 && k <= kMaxSelectSplit)
+                    m = k;
+            });
+    });
+    return m;
+}
+
+/**
+ * A condition's value when every comparison it needs compares two
+ * integer literals (a tested loop variable specialised away), else
+ * nullopt.
+ */
+std::optional<bool>
+constCondition(const dsl::CondNode &c)
+{
+    using K = dsl::CondNode::Kind;
+    if (c.kind == K::Cmp) {
+        if (c.lhs.node().kind() != dsl::ExprKind::ConstInt ||
+            c.rhs.node().kind() != dsl::ExprKind::ConstInt)
+            return std::nullopt;
+        const std::int64_t a =
+            static_cast<const dsl::ConstIntNode &>(c.lhs.node()).value;
+        const std::int64_t b =
+            static_cast<const dsl::ConstIntNode &>(c.rhs.node()).value;
+        switch (c.op) {
+          case dsl::CmpOp::LT: return a < b;
+          case dsl::CmpOp::LE: return a <= b;
+          case dsl::CmpOp::GT: return a > b;
+          case dsl::CmpOp::GE: return a >= b;
+          case dsl::CmpOp::EQ: return a == b;
+          case dsl::CmpOp::NE: return a != b;
+        }
+        return std::nullopt;
+    }
+    const std::optional<bool> x = constCondition(*c.a);
+    const std::optional<bool> y = constCondition(*c.b);
+    const bool dominant = c.kind == K::Or; // decides alone
+    if ((x && *x == dominant) || (y && *y == dominant))
+        return dominant;
+    if (x && y)
+        return !dominant;
+    return std::nullopt;
+}
+
+/** @p value with each select whose condition is constant replaced by
+ * the arm it takes. */
+dsl::Expr
+foldSelects(const dsl::Expr &value)
+{
+    return dsl::rewriteExpr(
+        value, [](const dsl::ExprNode &n) -> std::optional<dsl::Expr> {
+            if (n.kind() != dsl::ExprKind::Select)
+                return std::nullopt;
+            const auto &s = static_cast<const dsl::SelectNode &>(n);
+            const std::optional<bool> taken = constCondition(s.cond.node());
+            if (!taken)
+                return std::nullopt;
+            const dsl::Expr &arm = *taken ? s.t : s.f;
+            return arm.type() == n.dtype() ? arm : dsl::cast(n.dtype(), arm);
+        });
+}
 
 /** Match `v % step == phase` (either operand order) on a loop var. */
 bool
@@ -194,9 +426,62 @@ class Generator
     void emitPrelude();
     void emitEntry(bool instrumented);
     void emitTaskEntry();
-    void emitBody();
+    /** Entry-scope locals every group function draws from (locals_). */
+    void buildLocals();
+    /**
+     * Pack fns_ into translation units (docs/INTERNALS.md, "JIT
+     * units"): one per kUnitBytes of function source, at most one per
+     * hardware thread, filled largest function first into the
+     * lightest unit, with the extern "C" entries in unit 0.  Each unit
+     * is @p prelude, declarations of the hidden functions its functions
+     * call, and its functions.
+     */
+    std::vector<std::string> packUnits(const std::string &prelude) const;
+
+    /** A group function's call and the phases it owns. */
+    struct GroupCall
+    {
+        std::string name;
+        std::string call;
+        int phaseEnd = 0;
+    };
+    /** One function per group for the current entry mode, in order. */
+    std::vector<GroupCall> emitGroups();
+    /**
+     * Render group @p gi as its own hidden function (declaring just the
+     * entry-scope locals its body reads); returns its name and call.
+     */
+    std::pair<std::string, std::string> emitGroupFunction(int gi);
     void emitGroup(int gi);
     void emitTiledGroup(int gi);
+    /** One stage's case nests for the current tile (T0, T1, ...). */
+    void emitTiledStage(int gi, int s, const std::vector<int> &tiled,
+                        const std::vector<std::int64_t> &tau);
+    /**
+     * Emit the per-tile call of stage @p s's outlined nest function,
+     * rendering the function on first use: tile indices, parameters
+     * and tile sizes by value, buffer and scratchpad pointers as
+     * __restrict arguments; extents, strides and scratchpad origins
+     * are recomputed inside, so literal bounds stay literal.
+     */
+    void emitTiledStageCall(int gi, int s, const std::vector<int> &tiled,
+                            const std::vector<std::int64_t> &tau);
+    /** Scratchpad origins (ob_*) of group @p gi's current tile. */
+    std::vector<LocalDef>
+    scratchOrigins(int gi, const std::vector<int> &tiled,
+                   const std::vector<std::int64_t> &tau);
+    /**
+     * Split nests on the outer loop variables their select conditions
+     * test, so each piece's selects fold to one arm without relying on
+     * the compiler to unswitch the outlined nest: a short literal loop
+     * (the channel axis of `c == 0 ? ... : ...`) becomes one nest per
+     * value, and a `x % m` test one strided nest per residue; each
+     * nest's value has the variable (or the modulus) substituted and
+     * the selects that became constant folded.
+     */
+    std::vector<CaseNest> specializeSelects(const pg::Stage &stage,
+                                            const dsl::Case &cs,
+                                            std::vector<CaseNest> nests);
     void emitUntiledStage(int gi, int s);
     void emitAccumulator(int gi, int s);
     void emitSelfRecurrent(int gi, int s);
@@ -261,7 +546,7 @@ class Generator
      * itself; the caller then keeps the pragma path.
      */
     std::optional<VecResult>
-    tryVectorizeNest(int gi, int s, const dsl::Case &cs,
+    tryVectorizeNest(int gi, int s, const dsl::Expr &value,
                      const EmitEnv &env, const CaseNest &nest,
                      const std::string &target, bool parallel_outer,
                      bool task_outer);
@@ -338,6 +623,81 @@ class Generator
     const core::RangeAnalysis *ranges_;
 
     CodeWriter w_;
+    /** Declarations of the entry-scope locals (buildLocals). */
+    std::vector<LocalDef> locals_;
+    LocalIndex localIndex_;
+    /** One emitted function of the generated code. */
+    struct Fn
+    {
+        std::string name;
+        /** Signature, without body or semicolon. */
+        std::string header;
+        std::string text;
+        /** An extern "C" entry (a driver), not a hidden function. */
+        bool entry = false;
+        /** The hidden functions it calls. */
+        std::vector<std::string> callees;
+    };
+    /** Every emitted function: each group's function, then its nests. */
+    std::vector<Fn> fns_;
+    /**
+     * Name, call statement and argument names of each outlined
+     * tiled-stage nest by (group, stage).  The nests are rendered on the primary pass; the
+     * instrumented and task entries call the same functions.
+     */
+    struct NestCall
+    {
+        std::string name;
+        std::string call;
+        std::vector<std::string> args;
+    };
+    std::map<std::pair<int, int>, NestCall> nestCalls_;
+    /** Scratchpad origins by group, with their index (scratchOrigins). */
+    std::map<int, std::pair<std::vector<LocalDef>, LocalIndex>> origins_;
+    /** Where emitTiledStageCall records the nests a group calls. */
+    std::vector<std::string> *callees_ = nullptr;
+    /**
+     * Buffer, image, scratchpad, extent, stride and origin names the
+     * function being rendered reads (recorded by use()); with the
+     * parameters and tile sizes its text mentions, they select its
+     * arguments and the entry-scope locals it declares.
+     */
+    std::set<std::string> *uses_ = nullptr;
+
+    /** Record that the code being rendered reads @p name. */
+    const std::string &
+    use(const std::string &name)
+    {
+        if (uses_ != nullptr)
+            uses_->insert(name);
+        return name;
+    }
+
+    /**
+     * The names a rendered function reads: its use() records plus the
+     * parameters and tile sizes @p body mentions (matched as text; a
+     * spurious match only adds an unused local or argument).
+     */
+    Names
+    readNames(const std::set<std::string> &uses, const std::string &body)
+    {
+        Names names(uses.begin(), uses.end());
+        const std::size_t scalars = g_.params().size() + tauDefault_.size();
+        for (std::size_t i = 0; i < scalars; ++i) {
+            const std::string &n = nestArgs_[i].first;
+            if (body.find(n) != std::string::npos)
+                names.insert(n);
+        }
+        return names;
+    }
+    /**
+     * Entry-scope names a nest function takes as arguments, in
+     * signature order, with their declarations: parameters and tile
+     * sizes by value (first), image, buffer and scratchpad pointers
+     * __restrict (buildLocals).
+     */
+    std::vector<std::pair<std::string, std::string>> nestArgs_;
+    Names nestArgNames_;
     std::set<std::string> used_;
     std::map<int, std::string> stageName_; // stage idx -> unique name
     std::map<int, std::string> imageName_; // image entity id -> name
@@ -403,23 +763,27 @@ class Generator
 std::string
 Generator::lenName(const std::string &base, int d)
 {
-    return "len_" + base + "_" + std::to_string(d);
+    return use("len_" + base + "_" + std::to_string(d));
 }
 
 std::string
 Generator::strideName(const std::string &base, int d)
 {
-    return "st_" + base + "_" + std::to_string(d);
+    return use("st_" + base + "_" + std::to_string(d));
 }
 
 void
 Generator::emitPrelude()
 {
     w_.line("// Generated by PolyMage-cpp. Do not edit.");
-    w_.line("#include <cmath>");
     w_.line("#include <cstdlib>");
     w_.line("#include <ctime>");
     w_.blank();
+    // Group and nest functions: hidden (direct calls across the units
+    // of one shared object) and never inlined back into their caller,
+    // which would rebuild the one giant function the split avoids.
+    w_.line("#define PM_FN __attribute__((visibility(\"hidden\"), "
+            "noinline))");
     w_.line("static inline long long pm_floordiv(long long a, long long "
             "b)");
     w_.open("");
@@ -521,8 +885,8 @@ std::string
 Generator::fullIndex(int s_or_img, bool is_image,
                      const std::vector<std::string> &idx)
 {
-    const std::string base = is_image ? imageName_.at(s_or_img)
-                                      : "buf_" + stageName(s_or_img);
+    const std::string base = use(is_image ? imageName_.at(s_or_img)
+                                          : "buf_" + stageName(s_or_img));
     const std::string strides_base =
         is_image ? imageName_.at(s_or_img) : stageName(s_or_img);
     return base + "[" + flatIndexStr(strides_base, idx) + "]";
@@ -547,8 +911,9 @@ Generator::scratchIndex(int gi, int s, const std::vector<std::string> &idx)
         std::string term;
         if (pos != tiled.end()) {
             const int ti = int(pos - tiled.begin());
-            term = "((" + idx[d] + ") - ob_" + stageName(s) + "_" +
-                   std::to_string(ti) + ")";
+            term = "((" + idx[d] + ") - " +
+                   use("ob_" + stageName(s) + "_" + std::to_string(ti)) +
+                   ")";
         } else {
             term = "(" + idx[d] + ")";
         }
@@ -556,8 +921,8 @@ Generator::scratchIndex(int gi, int s, const std::vector<std::string> &idx)
             term += " * " + std::to_string(strides[d]);
         terms.push_back(std::move(term));
     }
-    return "scr_" + stageName(s) + "[" + joinHoistedIndex(terms, hoist_) +
-           "]";
+    return use("scr_" + stageName(s)) + "[" +
+           joinHoistedIndex(terms, hoist_) + "]";
 }
 
 std::string
@@ -620,7 +985,7 @@ Generator::applyBox(const poly::CondBox &box, const pg::Stage &stage,
 }
 
 std::optional<VecResult>
-Generator::tryVectorizeNest(int gi, int s, const dsl::Case &cs,
+Generator::tryVectorizeNest(int gi, int s, const dsl::Expr &value,
                             const EmitEnv &env, const CaseNest &nest,
                             const std::string &target,
                             bool parallel_outer, bool task_outer)
@@ -660,7 +1025,7 @@ Generator::tryVectorizeNest(int gi, int s, const dsl::Case &cs,
     }
 
     VecRequest req;
-    req.value = cs.value();
+    req.value = value;
     req.declared = stage.func().dtype();
     req.storeType = storage_.elemType(s, g_);
     req.target = target;
@@ -685,7 +1050,7 @@ Generator::caseNests(const pg::Stage &stage, const dsl::Case &cs,
 {
     std::vector<CaseNest> nests;
     if (!cs.hasCondition()) {
-        nests.push_back({base_dims, {}});
+        nests.push_back({base_dims, {}, {}});
         return nests;
     }
     std::set<int> var_ids;
@@ -731,6 +1096,83 @@ Generator::caseNests(const pg::Stage &stage, const dsl::Case &cs,
     return nests;
 }
 
+std::vector<CaseNest>
+Generator::specializeSelects(const pg::Stage &stage, const dsl::Case &cs,
+                             std::vector<CaseNest> nests)
+{
+    if (!vec_)
+        return nests;
+    auto literal = [](const std::vector<std::string> &b, std::int64_t &v) {
+        if (b.size() != 1 || b[0].empty())
+            return false;
+        char *end = nullptr;
+        v = std::strtoll(b[0].c_str(), &end, 10);
+        return *end == '\0';
+    };
+    const auto &vars = stage.loopVars();
+    std::vector<CaseNest> out;
+    std::reverse(nests.begin(), nests.end()); // a stack, front on top
+    while (!nests.empty()) {
+        CaseNest nest = std::move(nests.back());
+        nests.pop_back();
+        const dsl::Expr value =
+            nest.value.defined() ? nest.value : cs.value();
+        // The outermost splittable dimension; the pieces go back on the
+        // work list, where an inner dimension may split them again.
+        std::vector<CaseNest> pieces;
+        for (std::size_t d = 0;
+             d + 1 < nest.dims.size() && d < vars.size() && pieces.empty();
+             ++d) {
+            const LoopDim &ld = nest.dims[d];
+            if (ld.step != 1)
+                continue;
+            const int var = vars[d].id();
+            std::int64_t lo = 0, hi = -1;
+            if (literal(ld.lb, lo) && literal(ld.ub, hi) && hi > lo &&
+                hi - lo < kMaxSelectSplit && selectsOn(value, var)) {
+                // A short literal loop (a channel axis): one nest per
+                // value, pinned in the bounds and in the value.
+                for (std::int64_t v = lo; v <= hi; ++v) {
+                    CaseNest one = nest;
+                    LoopDim &od = one.dims[d];
+                    od.lb = {std::to_string(v)};
+                    od.ub = {std::to_string(v)};
+                    od.estLo = od.estHi = v;
+                    od.estExtent = 1;
+                    one.value = foldSelects(
+                        dsl::substituteVars(value, {{var, Expr(int(v))}}));
+                    pieces.push_back(std::move(one));
+                }
+            } else if (const std::int64_t m = selectModulus(value, var)) {
+                // A parity-style test on an outer variable: one strided
+                // nest per residue, with `var % m` folded to it.
+                for (std::int64_t p = 0; p < m; ++p) {
+                    CaseNest one = nest;
+                    LoopDim &od = one.dims[d];
+                    od.step = m;
+                    od.phase = p;
+                    one.value = foldSelects(dsl::rewriteExpr(
+                        value,
+                        [&](const dsl::ExprNode &n) -> std::optional<Expr> {
+                            if (modulusOf(n, var) != m)
+                                return std::nullopt;
+                            return Expr(std::make_shared<dsl::ConstIntNode>(
+                                p, n.dtype()));
+                        }));
+                    pieces.push_back(std::move(one));
+                }
+            }
+        }
+        if (pieces.empty()) {
+            out.push_back(std::move(nest));
+            continue;
+        }
+        for (auto it = pieces.rbegin(); it != pieces.rend(); ++it)
+            nests.push_back(std::move(*it));
+    }
+    return out;
+}
+
 void
 Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
                          const EmitEnv &env,
@@ -740,7 +1182,12 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
 {
     const pg::Stage &stage = g_.stage(s);
     const auto &f = stage.func();
-    for (CaseNest &nest : caseNests(stage, cs, env, base_dims)) {
+    std::vector<CaseNest> nests = caseNests(stage, cs, env, base_dims);
+    // Per-tile nests are outlined (emitTiledStageCall), where the
+    // compiler no longer unswitches their outer-variable selects.
+    if (!task_outer)
+        nests = specializeSelects(stage, cs, std::move(nests));
+    for (CaseNest &nest : nests) {
         // Render the body with the invariant-hoist sink active: every
         // flat-index prefix not involving the innermost loop variable
         // lands in sink.lines as a pm_base local, declared by
@@ -755,15 +1202,16 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         } else {
             hoist_ = nullptr;
         }
+        const dsl::Expr &value =
+            nest.value.defined() ? nest.value : cs.value();
         const std::string target = storeTarget(gi, s, idx);
         const std::vector<std::string> body =
-            emitAssignWithCSE(cs.value(), target, f.dtype(), env,
-                              hoist_);
+            emitAssignWithCSE(value, target, f.dtype(), env, hoist_);
         // Attempt the explicit vector body while the hoist sink is
         // still active: vector loads route through the same pm_base
         // locals the scalar tail uses.
         const std::optional<VecResult> vres = tryVectorizeNest(
-            gi, s, cs, env, nest, target, parallel_outer, task_outer);
+            gi, s, value, env, nest, target, parallel_outer, task_outer);
         hoistTmp_ = std::max(hoistTmp_, sink.counter);
         cseTmp_ = std::max(cseTmp_, sink.cseCounter);
         hoist_ = saved;
@@ -1224,91 +1672,13 @@ Generator::emitTiledGroup(int gi)
                 "; ++T" + std::to_string(ti) + ")");
     }
 
-    // Scratchpad origins: ceil((tau*T - extLeft[level]) / scale).
-    for (int s : grp.stages) {
-        if (!storage_.isScratch(s))
-            continue;
-        const StageMapping &m = grp.mapping.at(s);
-        const int lvl = grp.localLevel.at(s);
-        for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
-            const int gd = tiled[ti];
-            for (std::size_t d = 0; d < m.groupDim.size(); ++d) {
-                if (m.groupDim[d] != gd)
-                    continue;
-                const std::string raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * T" +
-                    std::to_string(ti) + " - " +
-                    std::to_string(grp.dims[gd].extLeft[lvl]) + ")";
-                w_.line("const int ob_" + stageName(s) + "_" +
-                        std::to_string(ti) + " = (int)" +
-                        ceilDivStr(raw, m.scale[d]) + ";");
-            }
-        }
-    }
-
-    // Stages in level order.
+    // Stages in level order, one outlined nest function each.
     std::vector<int> order = grp.stages;
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return grp.localLevel.at(a) < grp.localLevel.at(b);
     });
-
-    for (int s : order) {
-        const pg::Stage &stage = g_.stage(s);
-        const auto &f = stage.func();
-        const auto &vars = f.vars();
-        const StageMapping &m = grp.mapping.at(s);
-        const int lvl = grp.localLevel.at(s);
-
-        const bool saved_vec = vec_;
-        vec_ = vec_ && innermostVectorizable(stage);
-        for (const auto &cs : f.cases()) {
-            std::map<int, std::string> var_names;
-            std::vector<LoopDim> dims(vars.size());
-            for (std::size_t d = 0; d < vars.size(); ++d) {
-                var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
-                dims[d].var = var_names[vars[d].id()];
-            }
-            EmitEnv env = makeEnv(var_names, gi);
-            for (std::size_t d = 0; d < vars.size(); ++d) {
-                dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
-                dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
-                // Tile-region clamps for tiled dims.
-                auto pos = std::find(tiled.begin(), tiled.end(),
-                                     m.groupDim[d]);
-                if (pos == tiled.end())
-                    continue;
-                const std::size_t ti = pos - tiled.begin();
-                const int gd = tiled[ti];
-                const auto &info = grp.dims[gd];
-                const std::string t = "T" + std::to_string(ti);
-                const std::string lo_raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * " + t + " - " +
-                    std::to_string(info.extLeft[lvl]) + ")";
-                const std::string hi_add =
-                    tauDefault_.empty()
-                        ? std::to_string(tau[ti] - 1 +
-                                         info.extRight[lvl])
-                        : tauTermLL(ti, tau[ti]) + " - 1 + " +
-                              std::to_string(info.extRight[lvl]);
-                const std::string hi_raw =
-                    "(" + tauTermLL(ti, tau[ti]) + " * " + t + " + " +
-                    hi_add + ")";
-                dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
-                dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
-            }
-            std::vector<std::string> idx;
-            for (const auto &v : vars)
-                idx.push_back(var_names[v.id()]);
-            emitCaseNests(gi, s, cs, env, idx, dims,
-                          /*parallel_outer=*/false,
-                          /*task_outer=*/false);
-            for (const auto &[id, nm] : var_names) {
-                (void)id;
-                used_.erase(nm);
-            }
-        }
-        vec_ = saved_vec;
-    }
+    for (int s : order)
+        emitTiledStageCall(gi, s, tiled, tau);
 
     for (std::size_t ti = 1; ti < tiled.size(); ++ti)
         w_.close();
@@ -1326,6 +1696,176 @@ Generator::emitTiledGroup(int gi)
         w_.close(); // phase guard
     }
     ++phase_;
+}
+
+std::vector<LocalDef>
+Generator::scratchOrigins(int gi, const std::vector<int> &tiled,
+                          const std::vector<std::int64_t> &tau)
+{
+    // ceil((tau*T - extLeft[level]) / scale) per scratchpad and tiled
+    // dimension.
+    const GroupSchedule &grp = grouping_.groups[gi];
+    std::vector<LocalDef> defs;
+    for (int s : grp.stages) {
+        if (!storage_.isScratch(s))
+            continue;
+        const StageMapping &m = grp.mapping.at(s);
+        const int lvl = grp.localLevel.at(s);
+        for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
+            const int gd = tiled[ti];
+            for (std::size_t d = 0; d < m.groupDim.size(); ++d) {
+                if (m.groupDim[d] != gd)
+                    continue;
+                const std::string raw =
+                    "(" + tauTermLL(ti, tau[ti]) + " * T" +
+                    std::to_string(ti) + " - " +
+                    std::to_string(grp.dims[gd].extLeft[lvl]) + ")";
+                const std::string name =
+                    "ob_" + stageName(s) + "_" + std::to_string(ti);
+                defs.emplace_back(name, "const int " + name + " = (int)" +
+                                            ceilDivStr(raw, m.scale[d]) +
+                                            ";");
+            }
+        }
+    }
+    return defs;
+}
+
+void
+Generator::emitTiledStageCall(int gi, int s, const std::vector<int> &tiled,
+                              const std::vector<std::int64_t> &tau)
+{
+    auto it = nestCalls_.find({gi, s});
+    if (it == nestCalls_.end()) {
+        CodeWriter outer = std::move(w_);
+        w_ = CodeWriter(1);
+        std::set<std::string> uses;
+        std::set<std::string> *outer_uses = uses_;
+        uses_ = &uses;
+        emitTiledStage(gi, s, tiled, tau);
+        uses_ = outer_uses;
+        const std::string body = w_.str();
+        w_ = std::move(outer);
+
+        // Scratchpad origins read only arguments, so they resolve
+        // first; the entry-scope locals declare ahead of them.
+        auto org = origins_.find(gi);
+        if (org == origins_.end()) {
+            std::vector<LocalDef> defs = scratchOrigins(gi, tiled, tau);
+            LocalIndex index = indexLocals(defs);
+            org = origins_
+                      .emplace(gi, std::make_pair(std::move(defs),
+                                                  std::move(index)))
+                      .first;
+        }
+        Names needed = readNames(uses, body);
+        const std::vector<std::string> origin_decls = neededLocals(
+            org->second.first, org->second.second, needed, nestArgNames_);
+        std::vector<std::string> decls =
+            neededLocals(locals_, localIndex_, needed, nestArgNames_);
+        decls.insert(decls.end(), origin_decls.begin(), origin_decls.end());
+
+        const std::string name = claim("pm_g" + std::to_string(gi) +
+                                       "_s" + std::to_string(s));
+        // Arguments in signature order: every tile index, then the
+        // entry-scope names the body reads.
+        std::string sig, call;
+        std::vector<std::string> args;
+        auto arg = [&](const std::string &n, const std::string &decl) {
+            sig += (sig.empty() ? "" : ", ") + decl;
+            call += (call.empty() ? "" : ", ") + n;
+            args.push_back(n);
+        };
+        for (std::size_t ti = 0; ti < tiled.size(); ++ti) {
+            const std::string t = "T" + std::to_string(ti);
+            arg(t, "long long " + t);
+        }
+        for (const auto &[n, decl] : nestArgs_) {
+            if (needed.count(n))
+                arg(n, decl);
+        }
+        Fn fn;
+        fn.name = name;
+        fn.header = "PM_FN void " + name + "(" + sig + ")";
+        fn.text = "// " + stageName(s) + ", one tile of group " +
+                  std::to_string(gi) + "\n" + fn.header + "\n{\n";
+        for (const auto &d : decls)
+            fn.text += "    " + d + "\n";
+        fn.text += body + "}\n\n";
+        fns_.push_back(std::move(fn));
+        it = nestCalls_
+                 .emplace(std::make_pair(gi, s),
+                          NestCall{name, name + "(" + call + ");",
+                                   std::move(args)})
+                 .first;
+    }
+    if (callees_ != nullptr)
+        callees_->push_back(it->second.name);
+    for (const std::string &a : it->second.args)
+        use(a);
+    w_.line(it->second.call);
+}
+
+void
+Generator::emitTiledStage(int gi, int s, const std::vector<int> &tiled,
+                          const std::vector<std::int64_t> &tau)
+{
+    const GroupSchedule &grp = grouping_.groups[gi];
+    const pg::Stage &stage = g_.stage(s);
+    const auto &f = stage.func();
+    const auto &vars = f.vars();
+    const StageMapping &m = grp.mapping.at(s);
+    const int lvl = grp.localLevel.at(s);
+
+    const bool saved_vec = vec_;
+    vec_ = vec_ && innermostVectorizable(stage);
+    for (const auto &cs : f.cases()) {
+        std::map<int, std::string> var_names;
+        std::vector<LoopDim> dims(vars.size());
+        for (std::size_t d = 0; d < vars.size(); ++d) {
+            var_names[vars[d].id()] = claim(sanitize(vars[d].name()));
+            dims[d].var = var_names[vars[d].id()];
+        }
+        EmitEnv env = makeEnv(var_names, gi);
+        for (std::size_t d = 0; d < vars.size(); ++d) {
+            dims[d].lb.push_back(emitExpr(f.dom()[d].lower(), env));
+            dims[d].ub.push_back(emitExpr(f.dom()[d].upper(), env));
+            // Tile-region clamps for tiled dims.
+            auto pos = std::find(tiled.begin(), tiled.end(),
+                                 m.groupDim[d]);
+            if (pos == tiled.end())
+                continue;
+            const std::size_t ti = pos - tiled.begin();
+            const int gd = tiled[ti];
+            const auto &info = grp.dims[gd];
+            const std::string t = "T" + std::to_string(ti);
+            const std::string lo_raw =
+                "(" + tauTermLL(ti, tau[ti]) + " * " + t + " - " +
+                std::to_string(info.extLeft[lvl]) + ")";
+            const std::string hi_add =
+                tauDefault_.empty()
+                    ? std::to_string(tau[ti] - 1 +
+                                     info.extRight[lvl])
+                    : tauTermLL(ti, tau[ti]) + " - 1 + " +
+                          std::to_string(info.extRight[lvl]);
+            const std::string hi_raw =
+                "(" + tauTermLL(ti, tau[ti]) + " * " + t + " + " +
+                hi_add + ")";
+            dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
+            dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
+        }
+        std::vector<std::string> idx;
+        for (const auto &v : vars)
+            idx.push_back(var_names[v.id()]);
+        emitCaseNests(gi, s, cs, env, idx, dims,
+                      /*parallel_outer=*/false,
+                      /*task_outer=*/false);
+        for (const auto &[id, nm] : var_names) {
+            (void)id;
+            used_.erase(nm);
+        }
+    }
+    vec_ = saved_vec;
 }
 
 void
@@ -1480,7 +2020,7 @@ Generator::emitAccumulator(int gi, int s)
             w_.line("#pragma omp critical");
             w_.open("");
             const std::string out_cell =
-                "buf_" + stageName(s) + "[pm_i]";
+                use("buf_" + stageName(s)) + "[pm_i]";
             w_.open("for (long long pm_i = 0; pm_i < (" + cells +
                     "); ++pm_i)");
             w_.line(out_cell + " = " +
@@ -1625,17 +2165,13 @@ Generator::emitGroup(int gi)
 }
 
 void
-Generator::emitBody()
+Generator::buildLocals()
 {
-    phase_ = 0;
-    tmp_ = 0;
-    hoistTmp_ = 0;
-    cseTmp_ = 0;
-
     // Parameters.
     for (std::size_t i = 0; i < g_.params().size(); ++i) {
-        w_.line("const int " + paramName_.at(g_.params()[i]->id) +
-                " = (int)params[" + std::to_string(i) + "];");
+        const std::string &n = paramName_.at(g_.params()[i]->id);
+        locals_.emplace_back(n, "const int " + n + " = (int)params[" +
+                                    std::to_string(i) + "];");
     }
     // Shape-generic tile sizes: trailing params entries, clamped to
     // [1, compile-time size] so the compile-time-sized scratchpads and
@@ -1645,34 +2181,44 @@ Generator::emitBody()
         const std::string arg =
             "params[" + std::to_string(g_.params().size() + i) + "]";
         const std::string d = std::to_string(tauDefault_[i]);
-        w_.line("const long long pm_tau" + std::to_string(i) + " = (" +
-                arg + " >= 1 && " + arg + " <= " + d + ") ? " + arg +
-                " : " + d + ";");
+        const std::string n = "pm_tau" + std::to_string(i);
+        locals_.emplace_back(n, "const long long " + n + " = (" + arg +
+                                    " >= 1 && " + arg + " <= " + d +
+                                    ") ? " + arg + " : " + d + ";");
     }
-    w_.blank();
 
-    // Inputs with extent/stride locals.
+    // Row-major extent/stride locals of a buffer.
+    auto shape = [&](const std::string &name,
+                     const std::vector<std::string> &extents) {
+        for (std::size_t d = 0; d < extents.size(); ++d) {
+            const std::string len = lenName(name, int(d));
+            locals_.emplace_back(len, "const long long " + len + " = " +
+                                          extents[d] + ";");
+        }
+        for (int d = int(extents.size()) - 2; d >= 0; --d) {
+            std::string prod = lenName(name, d + 1);
+            if (d + 2 < int(extents.size()))
+                prod += " * " + strideName(name, d + 1);
+            const std::string st = strideName(name, d);
+            locals_.emplace_back(st, "const long long " + st + " = " +
+                                         prod + ";");
+        }
+    };
+
+    // Inputs.
+    EmitEnv param_env = makeEnv({}, -1);
     for (std::size_t i = 0; i < g_.images().size(); ++i) {
         const auto &img = *g_.images()[i];
         const std::string name = imageName_.at(img.id());
         const std::string ty = dsl::dtypeCName(img.dtype());
-        w_.line("const " + std::string(ty) + " *" + name + " = (const " +
-                ty + " *)inputs[" + std::to_string(i) + "];");
-        EmitEnv env = makeEnv({}, -1);
-        for (std::size_t d = 0; d < img.extents().size(); ++d) {
-            w_.line("const long long " + lenName(name, int(d)) +
-                    " = (long long)" + emitExpr(img.extents()[d], env) +
-                    ";");
-        }
-        for (int d = int(img.extents().size()) - 2; d >= 0; --d) {
-            std::string prod = lenName(name, d + 1);
-            if (d + 2 < int(img.extents().size()))
-                prod += " * " + strideName(name, d + 1);
-            w_.line("const long long " + strideName(name, d) + " = " +
-                    prod + ";");
-        }
+        locals_.emplace_back(name, "const " + ty + " *" + name +
+                                       " = (const " + ty + " *)inputs[" +
+                                       std::to_string(i) + "];");
+        std::vector<std::string> extents;
+        for (const auto &e : img.extents())
+            extents.push_back("(long long)" + emitExpr(e, param_env));
+        shape(name, extents);
     }
-    w_.blank();
 
     // Full buffers: outputs come from the caller; intermediates live
     // in caller-provided allocation slots (the liveness-driven reuse
@@ -1681,8 +2227,6 @@ Generator::emitBody()
     std::map<int, int> output_slot;
     for (std::size_t i = 0; i < g_.outputs().size(); ++i)
         output_slot[g_.outputs()[i]] = int(i);
-
-    EmitEnv param_env = makeEnv({}, -1);
     for (std::size_t s = 0; s < g_.stages().size(); ++s) {
         if (storage_.isScratch(int(s)))
             continue;
@@ -1695,41 +2239,121 @@ Generator::emitBody()
             dsl::dtypeCName(storage_.elemType(int(s), g_));
         const auto &dom = stage.isFunction() ? stage.func().dom()
                                              : stage.accum().varDom();
-        for (std::size_t d = 0; d < dom.size(); ++d) {
-            w_.line("const long long " + lenName(name, int(d)) +
-                    " = (long long)" +
-                    emitExpr(dom[d].upper(), param_env) + " + 1;");
-        }
-        for (int d = int(dom.size()) - 2; d >= 0; --d) {
-            std::string prod = lenName(name, d + 1);
-            if (d + 2 < int(dom.size()))
-                prod += " * " + strideName(name, d + 1);
-            w_.line("const long long " + strideName(name, d) + " = " +
-                    prod + ";");
-        }
+        std::vector<std::string> extents;
+        for (const auto &iv : dom)
+            extents.push_back("(long long)" +
+                              emitExpr(iv.upper(), param_env) + " + 1");
+        shape(name, extents);
         auto slot = output_slot.find(int(s));
-        if (slot != output_slot.end()) {
-            w_.line(std::string(ty) + " *buf_" + name + " = (" + ty +
-                    " *)outputs[" + std::to_string(slot->second) + "];");
-        } else {
-            w_.line(std::string(ty) + " *buf_" + name + " = (" + ty +
-                    " *)pm_slots[" +
-                    std::to_string(storage_.slot.at(int(s))) + "];");
-        }
+        const std::string src =
+            slot != output_slot.end()
+                ? "outputs[" + std::to_string(slot->second) + "]"
+                : "pm_slots[" + std::to_string(storage_.slot.at(int(s))) +
+                      "]";
+        locals_.emplace_back("buf_" + name, ty + " *buf_" + name + " = (" +
+                                                ty + " *)" + src + ";");
     }
-    w_.blank();
 
+    localIndex_ = indexLocals(locals_);
+
+    for (const auto &p : g_.params())
+        nestArgs_.emplace_back(paramName_.at(p->id),
+                               "int " + paramName_.at(p->id));
+    for (std::size_t i = 0; i < tauDefault_.size(); ++i) {
+        const std::string t = "pm_tau" + std::to_string(i);
+        nestArgs_.emplace_back(t, "long long " + t);
+    }
+    for (const auto &img : g_.images()) {
+        const std::string &n = imageName_.at(img->id());
+        nestArgs_.emplace_back(n, "const " +
+                                      std::string(dsl::dtypeCName(
+                                          img->dtype())) +
+                                      " *__restrict " + n);
+    }
+    for (std::size_t s = 0; s < g_.stages().size(); ++s) {
+        const bool scratch = storage_.isScratch(int(s));
+        const std::string n = (scratch ? "scr_" : "buf_") + stageName(int(s));
+        const DType ty = scratch ? storage_.stages.at(int(s)).dtype
+                                 : storage_.elemType(int(s), g_);
+        nestArgs_.emplace_back(n, std::string(dsl::dtypeCName(ty)) +
+                                      " *__restrict " + n);
+    }
+    for (const auto &a : nestArgs_)
+        nestArgNames_.insert(a.first);
+}
+
+std::pair<std::string, std::string>
+Generator::emitGroupFunction(int gi)
+{
+    const std::size_t first = fns_.size();
+    CodeWriter outer = std::move(w_);
+    w_ = CodeWriter(1);
+    std::vector<std::string> callees;
+    std::set<std::string> uses;
+    callees_ = &callees;
+    uses_ = &uses;
+    emitGroup(gi);
+    callees_ = nullptr;
+    uses_ = nullptr;
+    const std::string body = w_.str();
+    w_ = std::move(outer);
+
+    Names needed = readNames(uses, body);
+    const std::vector<std::string> decls =
+        neededLocals(locals_, localIndex_, needed, {});
+    const std::string name = claim("pm_g" + std::to_string(gi) +
+                                   (instr_ ? "_i" : task_ ? "_t" : ""));
+    std::string sig = "const long long *params, void *const *inputs, "
+                      "void **outputs, void *const *pm_slots";
+    std::string call = "params, inputs, outputs, pm_slots";
+    if (instr_) {
+        sig += ", double *pm_costs, long long *pm_gids, long long pm_cap, "
+               "long long &pm_task, double &pm_serial_acc";
+        call += ", pm_costs, pm_gids, pm_cap, pm_task, pm_serial_acc";
+    }
+    if (task_) {
+        sig += ", long long pm_phase, long long pm_lo, long long pm_hi";
+        call += ", pm_phase, pm_lo, pm_hi";
+    }
+    Fn fn;
+    fn.name = name;
+    fn.callees = std::move(callees);
+    fn.header = std::string("PM_FN ") + (task_ ? "long long " : "void ") +
+                name + "(" + sig + ")";
+    fn.text = fn.header + "\n{\n";
+    for (const auto &d : decls)
+        fn.text += "    " + d + "\n";
+    fn.text += body;
+    if (task_)
+        fn.text += "    return 0;\n";
+    fn.text += "}\n\n";
+    // The group's function goes before the nest functions it calls.
+    fns_.insert(fns_.begin() + std::ptrdiff_t(first), std::move(fn));
+    return {name, name + "(" + call + ");"};
+}
+
+std::vector<Generator::GroupCall>
+Generator::emitGroups()
+{
+    phase_ = 0;
+    tmp_ = 0;
+    hoistTmp_ = 0;
+    cseTmp_ = 0;
+    std::vector<GroupCall> calls;
     for (std::size_t gi = 0; gi < grouping_.groups.size(); ++gi) {
         const int phase_start = phase_;
-        emitGroup(int(gi));
-        // Both emission passes walk the groups identically; record the
-        // phase ownership once.
+        GroupCall gc;
+        std::tie(gc.name, gc.call) = emitGroupFunction(int(gi));
+        gc.phaseEnd = phase_;
+        calls.push_back(std::move(gc));
+        // Every entry walks the groups identically; record the phase
+        // ownership once.
         while (int(phaseGroup_.size()) < phase_ &&
                int(phaseGroup_.size()) >= phase_start) {
             phaseGroup_.push_back(int(gi));
         }
-        w_.blank();
     }
+    return calls;
 }
 
 void
@@ -1737,29 +2361,43 @@ Generator::emitEntry(bool instrumented)
 {
     instr_ = instrumented;
     vec_ = opts_.vectorize != VectorizeMode::Off;
+    const std::vector<GroupCall> calls = emitGroups();
     const std::string base = "polymage_" + sanitize(g_.name());
+    Fn fn;
+    fn.entry = true;
+    CodeWriter w;
     if (!instrumented) {
-        w_.line("extern \"C\" void " + base +
-                "(const long long *params, void *const *inputs, "
-                "void **outputs, void *const *pm_slots)");
-        w_.open("");
+        fn.name = base;
+        fn.header = "extern \"C\" void " + base +
+                    "(const long long *params, void *const *inputs, "
+                    "void **outputs, void *const *pm_slots)";
+        w.line(fn.header);
+        w.open("");
     } else {
-        w_.line("extern \"C\" void " + base +
-                "_pm_instr(const long long *params, void *const "
-                "*inputs, void **outputs, void *const *pm_slots, "
-                "double *pm_costs, long long *pm_gids, long long "
-                "pm_cap, long long *pm_count, double *pm_serial)");
-        w_.open("");
-        w_.line("long long pm_task = 0;");
-        w_.line("double pm_serial_acc = 0.0;");
+        fn.name = base + "_pm_instr";
+        fn.header = "extern \"C\" void " + base +
+                    "_pm_instr(const long long *params, void *const "
+                    "*inputs, void **outputs, void *const *pm_slots, "
+                    "double *pm_costs, long long *pm_gids, long long "
+                    "pm_cap, long long *pm_count, double *pm_serial)";
+        w.line(fn.header);
+        w.open("");
+        w.line("long long pm_task = 0;");
+        w.line("double pm_serial_acc = 0.0;");
     }
-    emitBody();
+    for (const GroupCall &gc : calls) {
+        w.line(gc.call);
+        fn.callees.push_back(gc.name);
+    }
     if (instrumented) {
-        w_.line("*pm_count = pm_task;");
-        w_.line("*pm_serial = pm_serial_acc;");
+        w.line("*pm_count = pm_task;");
+        w.line("*pm_serial = pm_serial_acc;");
     }
-    w_.close();
-    w_.blank();
+    w.close();
+    w.blank();
+    fn.text = w.str();
+    fns_.push_back(std::move(fn));
+    instr_ = false;
 }
 
 void
@@ -1769,20 +2407,92 @@ Generator::emitTaskEntry()
     task_ = true;
     instr_ = false;
     vec_ = opts_.vectorize != VectorizeMode::Off;
+    const std::vector<GroupCall> calls = emitGroups();
     const std::string base = "polymage_" + sanitize(g_.name());
-    w_.line("extern \"C\" long long " + base +
-            "_pm_task(const long long *params, void *const *inputs, "
-            "void **outputs, void *const *pm_slots, long long pm_phase, "
-            "long long pm_lo, long long pm_hi)");
-    w_.open("");
-    w_.line("(void)pm_hi;");
-    w_.line("if (pm_phase < 0) return " +
-            std::to_string(phaseGroup_.size()) + "LL;");
-    emitBody();
-    w_.line("return 0;");
-    w_.close();
-    w_.blank();
+    Fn fn;
+    fn.entry = true;
+    fn.name = base + "_pm_task";
+    fn.header = "extern \"C\" long long " + base +
+                "_pm_task(const long long *params, void *const *inputs, "
+                "void **outputs, void *const *pm_slots, long long pm_phase, "
+                "long long pm_lo, long long pm_hi)";
+    CodeWriter w;
+    w.line(fn.header);
+    w.open("");
+    w.line("if (pm_phase < 0) return " +
+           std::to_string(phaseGroup_.size()) + "LL;");
+    // Each group's function serves the phases it owns.
+    int start = 0;
+    for (const GroupCall &gc : calls) {
+        if (gc.phaseEnd > start) {
+            w.line("if (pm_phase < " + std::to_string(gc.phaseEnd) +
+                   ") return " + gc.call);
+            fn.callees.push_back(gc.name);
+        }
+        start = gc.phaseEnd;
+    }
+    w.line("return 0;");
+    w.close();
+    w.blank();
+    fn.text = w.str();
+    fns_.push_back(std::move(fn));
     task_ = false;
+}
+
+std::vector<std::string>
+Generator::packUnits(const std::string &prelude) const
+{
+    std::size_t total = 0;
+    for (const Fn &f : fns_)
+        total += f.text.size();
+    const std::size_t n =
+        std::clamp<std::size_t>(total / kUnitBytes, 1,
+                                std::min<std::size_t>(
+                                    fns_.size(),
+                                    std::max(1u, std::thread::
+                                                     hardware_concurrency())));
+    // Entries in unit 0, then largest function first into the lightest
+    // unit (LPT).
+    std::vector<std::size_t> load(n, 0), unit(fns_.size(), 0);
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < fns_.size(); ++i) {
+        if (fns_[i].entry)
+            load[0] += fns_[i].text.size();
+        else
+            order.push_back(i);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return fns_[a].text.size() > fns_[b].text.size();
+                     });
+    for (std::size_t i : order) {
+        const std::size_t u =
+            std::size_t(std::min_element(load.begin(), load.end()) -
+                        load.begin());
+        unit[i] = u;
+        load[u] += fns_[i].text.size();
+    }
+
+    std::vector<std::string> units;
+    for (std::size_t u = 0; u < n; ++u) {
+        std::string defs;
+        std::set<std::string_view> calls;
+        for (std::size_t i = 0; i < fns_.size(); ++i) {
+            if (unit[i] != u)
+                continue;
+            defs += fns_[i].text;
+            calls.insert(fns_[i].callees.begin(), fns_[i].callees.end());
+        }
+        if (defs.empty())
+            continue;
+        std::string text = prelude;
+        for (const Fn &f : fns_) {
+            if (calls.count(f.name))
+                text += f.header + ";\n";
+        }
+        units.push_back(text + "\n" + defs);
+    }
+    return units;
 }
 
 GeneratedCode
@@ -1822,15 +2532,19 @@ Generator::run()
     for (std::size_t s = 0; s < g_.stages().size(); ++s)
         stageName_[int(s)] = claim(sanitize(g_.stage(int(s)).name()));
 
+    buildLocals();
+
     // Bodies first: rendering them registers the vector typedefs the
-    // prelude must declare, so the prelude is written afterwards and
-    // prepended.
+    // prelude must declare, so the prelude is written afterwards.
     emitEntry(false);
     if (opts_.instrument)
         emitEntry(true);
     if (opts_.taskABI)
         emitTaskEntry();
-    const std::string bodies = w_.str();
+    // The extern "C" entries lead, then each group's function followed
+    // by its nest functions.
+    std::stable_partition(fns_.begin(), fns_.end(),
+                          [](const Fn &f) { return f.entry; });
     w_ = CodeWriter();
     emitPrelude();
     if (!vtypes_.empty()) {
@@ -1838,9 +2552,18 @@ Generator::run()
             w_.line(l);
         w_.blank();
     }
+    const std::string prelude = w_.str();
 
     GeneratedCode out;
-    out.source = w_.str() + bodies;
+    out.units = packUnits(prelude);
+    out.source = prelude;
+    for (const Fn &f : fns_) {
+        if (!f.entry)
+            out.source += f.header + ";\n";
+    }
+    out.source += "\n";
+    for (const Fn &f : fns_)
+        out.source += f.text;
     out.entry = "polymage_" + sanitize(g_.name());
     if (opts_.instrument)
         out.instrEntry = out.entry + "_pm_instr";

@@ -1,11 +1,12 @@
 /**
  * @file
  * C++ code generation (paper §3.7): turns a scheduled, storage-mapped
- * pipeline into a single translation unit containing the pipeline
- * entry point, structured like the paper's Figure 7 -- parallel
- * overlapped-tile loops, per-tile scratchpads with relative indexing,
- * clamped per-level bounds, and vectorisation pragmas on unit-stride
- * innermost loops.
+ * pipeline into the pipeline entry point plus one function per group
+ * and one per stage of a fused tile, structured like the paper's
+ * Figure 7 -- parallel overlapped-tile loops, per-tile scratchpads with
+ * relative indexing, clamped per-level bounds, and vectorisation
+ * pragmas on unit-stride innermost loops -- and packs them into
+ * translation units the JIT compiles in parallel.
  */
 #ifndef POLYMAGE_CODEGEN_GENERATE_HPP
 #define POLYMAGE_CODEGEN_GENERATE_HPP
@@ -158,10 +159,23 @@ struct CodegenOptions
     bool maskedEpilogue = true;
 };
 
-/** The generated translation unit. */
+/** The generated code. */
 struct GeneratedCode
 {
+    /**
+     * The whole program as one compilable translation unit: prelude,
+     * declarations, the extern "C" entries, then each group's function
+     * followed by its nest functions.  For inspection and source tests;
+     * the JIT builds `units`.
+     */
     std::string source;
+    /**
+     * The same functions spread over up to hardware_concurrency()
+     * translation units packed by source size (docs/INTERNALS.md, "JIT
+     * units"); the entries live in unit 0.  rt::JitModule compiles them
+     * concurrently and links them into one shared object.
+     */
+    std::vector<std::string> units;
     /**
      * Entry symbol:
      * void entry(const long long *params, void *const *inputs,

@@ -17,6 +17,9 @@ namespace polymage::cg {
 class CodeWriter
 {
   public:
+    /** Start at @p depth levels of indentation (a function body: 1). */
+    explicit CodeWriter(int depth = 0) : depth_(depth) {}
+
     /** Append one line at the current indentation. */
     void
     line(const std::string &text)

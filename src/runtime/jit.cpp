@@ -1,18 +1,29 @@
 #include "runtime/jit.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <spawn.h>
 #include <sstream>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 #include <unordered_map>
 
 #include "support/diagnostics.hpp"
+#include "support/trace.hpp"
+
+extern char **environ;
 
 namespace polymage::rt {
 
@@ -83,8 +94,8 @@ compilerVersion(const std::string &compiler)
 /**
  * Persistent cache directory: POLYMAGE_JIT_CACHE_DIR, else
  * $XDG_CACHE_HOME/polymage/jit, else $HOME/.cache/polymage/jit, else a
- * world-shared /tmp fallback.  Created on demand; empty on failure
- * (caching is then skipped).
+ * world-shared directory under the temp directory.  Created on demand;
+ * empty on failure (caching is then skipped).
  */
 std::string
 cacheDir()
@@ -100,7 +111,11 @@ cacheDir()
                home != nullptr && home[0] != '\0') {
         dir = std::string(home) + "/.cache/polymage/jit";
     } else {
-        dir = "/tmp/polymage-jit-cache";
+        std::error_code ec;
+        const fs::path tmp = fs::temp_directory_path(ec);
+        if (ec)
+            return {};
+        dir = (tmp / "polymage-jit-cache").string();
     }
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -134,30 +149,171 @@ publishToCache(const std::string &src, const std::string &dst)
         fs::remove(tmp, ec);
 }
 
+/**
+ * Pin the OpenMP runtime for the life of the process, once, before the
+ * first module is loaded.  Otherwise the first `-fopenmp` module pulls
+ * libgomp in and dlclose() of the last such module unloads it while
+ * its pool threads are still parked inside it.
+ */
+void
+pinOpenMPRuntime()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL | RTLD_NODELETE);
+    });
+}
+
+/**
+ * Cap on concurrent compiler jobs (hardware_concurrency()), shared by
+ * every JitModule::compile of every process on the machine, so
+ * concurrent registry or autotuner builds -- or test processes
+ * building at once -- do not oversubscribe the cores.  A slot is an
+ * exclusive flock on one of that many files under the temp directory;
+ * the kernel drops the lock of a holder that dies.  Where the files
+ * cannot be opened the job runs without a slot.
+ */
+class JobSlot
+{
+  public:
+    JobSlot()
+    {
+        static const int slots =
+            int(std::max(1u, std::thread::hardware_concurrency()));
+        std::error_code ec;
+        const fs::path dir =
+            fs::temp_directory_path(ec) / "polymage-jit-slots";
+        if (!ec)
+            fs::create_directories(dir, ec);
+        if (ec)
+            return;
+        auto open = [&](int k) {
+            return ::open((dir / std::to_string(k)).c_str(),
+                          O_RDONLY | O_CREAT | O_CLOEXEC, 0666);
+        };
+        static std::atomic<unsigned> next{0};
+        const int first = int(next.fetch_add(1) % unsigned(slots));
+        for (int i = 0; i < slots; ++i) {
+            fd_ = open((first + i) % slots);
+            if (fd_ >= 0 && ::flock(fd_, LOCK_EX | LOCK_NB) == 0)
+                return;
+            if (fd_ >= 0)
+                ::close(fd_);
+            fd_ = -1;
+        }
+        // Every slot is busy: wait for one.
+        fd_ = open(first);
+        while (fd_ >= 0 && ::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
+        }
+    }
+    ~JobSlot()
+    {
+        if (fd_ >= 0)
+            ::close(fd_); // releases the lock
+    }
+    JobSlot(const JobSlot &) = delete;
+    JobSlot &operator=(const JobSlot &) = delete;
+
+  private:
+    int fd_ = -1;
+};
+
+std::vector<std::string>
+splitWords(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::istringstream in(s);
+    for (std::string w; in >> w;)
+        out.push_back(w);
+    return out;
+}
+
+std::string
+joinWords(const std::vector<std::string> &words)
+{
+    std::string out;
+    for (const auto &w : words)
+        out += (out.empty() ? "" : " ") + w;
+    return out;
+}
+
+/** One finished compiler job. */
+struct Job
+{
+    int status = -1;
+    std::chrono::steady_clock::time_point start, end;
+};
+
+/**
+ * Run @p argv (no shell) holding a JobSlot, stdout and stderr to
+ * @p log_path, and wait for it.  status is the exit code, 128+signal
+ * on a crash, or -1 when the process could not be started.
+ */
+Job
+runJob(const std::vector<std::string> &argv, const std::string &log_path)
+{
+    std::vector<char *> args;
+    for (const auto &a : argv)
+        args.push_back(const_cast<char *>(a.c_str()));
+    args.push_back(nullptr);
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    posix_spawn_file_actions_addopen(&fa, 2, log_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    posix_spawn_file_actions_adddup2(&fa, 2, 1);
+
+    Job job;
+    const JobSlot slot;
+    job.start = std::chrono::steady_clock::now();
+    pid_t pid = 0;
+    if (posix_spawnp(&pid, args[0], &fa, nullptr, args.data(), environ) ==
+        0) {
+        int st = 0;
+        pid_t r;
+        while ((r = waitpid(pid, &st, 0)) < 0 && errno == EINTR) {
+        }
+        if (r == pid)
+            job.status = WIFEXITED(st) ? WEXITSTATUS(st)
+                                       : 128 + WTERMSIG(st);
+    }
+    job.end = std::chrono::steady_clock::now();
+    posix_spawn_file_actions_destroy(&fa);
+    return job;
+}
+
 } // namespace
 
 JitModule
 JitModule::compile(const std::string &source, const JitOptions &opts)
 {
-    std::ostringstream flags;
+    return compile(std::vector<std::string>{source}, opts);
+}
+
+JitModule
+JitModule::compile(const std::vector<std::string> &units,
+                   const JitOptions &opts)
+{
+    PM_ASSERT(!units.empty(), "JIT build without translation units");
     // -fno-math-errno lets gcc vectorise transcendental calls (expf,
     // powf) under omp simd via libmvec, matching what icc does by
     // default in the paper's setup.  It is not -ffast-math: IEEE
     // semantics are otherwise preserved.
-    flags << "-shared -fPIC -std=c++17 -w -fno-math-errno "
-          << opts.optLevel;
+    std::vector<std::string> flags = {"-fPIC", "-std=c++17", "-w",
+                                      "-fno-math-errno", opts.optLevel};
     if (opts.nativeArch)
-        flags << " -march=native";
+        flags.push_back("-march=native");
     if (opts.openmp)
-        flags << " -fopenmp";
-    if (!opts.vectorize)
-        flags << " -fno-tree-vectorize -fno-tree-slp-vectorize";
-    if (!opts.extraFlags.empty())
-        flags << " " << opts.extraFlags;
+        flags.push_back("-fopenmp");
+    if (!opts.vectorize) {
+        flags.push_back("-fno-tree-vectorize");
+        flags.push_back("-fno-tree-slp-vectorize");
+    }
+    for (auto &w : splitWords(opts.extraFlags))
+        flags.push_back(std::move(w));
 
     // The cache key covers everything that shapes the object code:
-    // the generated source, every compiler flag, and the compiler's
-    // own identity/version.
+    // every unit's source (length-prefixed, so unit boundaries count),
+    // every compiler flag, and the compiler's own identity/version.
     const char *env_cache = std::getenv("POLYMAGE_JIT_CACHE");
     const bool use_cache =
         opts.cache &&
@@ -166,8 +322,10 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
     if (use_cache) {
         const std::string cdir = cacheDir();
         if (!cdir.empty()) {
-            std::uint64_t h = fnv1a(source);
-            h = fnv1a(opts.compiler + " " + flags.str(), h);
+            std::uint64_t h = fnv1a(std::to_string(units.size()));
+            for (const auto &u : units)
+                h = fnv1a(u, fnv1a(std::to_string(u.size()) + ":", h));
+            h = fnv1a(opts.compiler + " " + joinWords(flags), h);
             h = fnv1a(compilerVersion(opts.compiler), h);
             char key[32];
             std::snprintf(key, sizeof key, "%016llx",
@@ -177,6 +335,7 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
         }
     }
 
+    pinOpenMPRuntime();
     if (!cache_so.empty() && fs::exists(cache_so)) {
         JitModule mod;
         mod.handle_ = dlopen(cache_so.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -191,36 +350,91 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
         fs::remove(cache_so, ec);
     }
 
-    char tmpl[] = "/tmp/polymage_jit_XXXXXX";
-    const char *dir = mkdtemp(tmpl);
-    if (dir == nullptr)
-        internalError("mkdtemp failed for JIT compilation");
+    std::string tmpl =
+        (fs::temp_directory_path() / "polymage_jit_XXXXXX").string();
+    if (mkdtemp(tmpl.data()) == nullptr)
+        internalError("mkdtemp failed for JIT compilation in ",
+                      fs::temp_directory_path().string());
 
     JitModule mod;
-    mod.dir_ = dir;
+    mod.dir_ = tmpl;
     mod.keep_ = opts.keepFiles;
-    mod.sourcePath_ = mod.dir_ + "/pipeline.cpp";
-    const std::string so_path = mod.dir_ + "/pipeline.so";
-    const std::string err_path = mod.dir_ + "/compile.log";
-
-    {
-        std::ofstream out(mod.sourcePath_);
-        out << source;
+    const std::size_t n = units.size();
+    std::vector<std::string> cpp(n), obj(n), logs(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::string base = mod.dir_ + "/unit" + std::to_string(k);
+        cpp[k] = base + ".cpp";
+        obj[k] = base + ".o";
+        logs[k] = base + ".log";
+        std::ofstream out(cpp[k]);
+        out << units[k];
         if (!out)
-            internalError("cannot write JIT source to ",
-                          mod.sourcePath_);
+            internalError("cannot write JIT source to ", cpp[k]);
     }
+    mod.sourcePath_ = cpp[0];
+    const std::string so_path = mod.dir_ + "/pipeline.so";
 
-    std::ostringstream cmd;
-    cmd << opts.compiler << " " << flags.str() << " '"
-        << mod.sourcePath_ << "' -o '" << so_path << "' 2> '"
-        << err_path << "'";
-
-    if (std::system(cmd.str().c_str()) != 0) {
-        const std::string log = readFile(err_path);
-        mod.keep_ = true; // preserve evidence
-        internalError("JIT compilation failed (sources kept in ",
-                      mod.dir_, "):\n", cmd.str(), "\n", log);
+    std::vector<std::string> base = splitWords(opts.compiler);
+    if (base.empty())
+        internalError("JIT compiler command is empty");
+    base.insert(base.end(), flags.begin(), flags.end());
+    // One unit compiles straight to the shared object; several compile
+    // to objects concurrently and link once.
+    auto unit_argv = [&](std::size_t k) {
+        std::vector<std::string> argv = base;
+        argv.push_back(n == 1 ? "-shared" : "-c");
+        argv.push_back(cpp[k]);
+        argv.push_back("-o");
+        argv.push_back(n == 1 ? so_path : obj[k]);
+        return argv;
+    };
+    std::vector<Job> jobs(n);
+    if (n == 1) {
+        jobs[0] = runJob(unit_argv(0), logs[0]);
+    } else {
+        std::vector<std::thread> threads;
+        for (std::size_t k = 0; k < n; ++k)
+            threads.emplace_back(
+                [&, k] { jobs[k] = runJob(unit_argv(k), logs[k]); });
+        for (auto &t : threads)
+            t.join();
+    }
+    obs::TraceRegistry *reg = obs::currentTrace();
+    for (std::size_t k = 0; k < n; ++k) {
+        if (reg != nullptr) {
+            const auto lines =
+                std::count(units[k].begin(), units[k].end(), '\n');
+            reg->record("jit.unit", jobs[k].start, jobs[k].end,
+                        {{"unit", std::int64_t(k)},
+                         {"lines", std::int64_t(lines)}});
+        }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        if (jobs[k].status != 0) {
+            mod.keep_ = true; // preserve evidence
+            internalError("JIT compilation failed in unit ", k, " of ", n,
+                          " (status ", jobs[k].status, "; sources kept in ",
+                          mod.dir_, "):\n", joinWords(unit_argv(k)), "\n",
+                          readFile(logs[k]));
+        }
+    }
+    if (n > 1) {
+        std::vector<std::string> argv = base;
+        argv.push_back("-shared");
+        argv.insert(argv.end(), obj.begin(), obj.end());
+        argv.push_back("-o");
+        argv.push_back(so_path);
+        const std::string log = mod.dir_ + "/link.log";
+        const Job link = runJob(argv, log);
+        if (reg != nullptr)
+            reg->record("jit.link", link.start, link.end,
+                        {{"units", std::int64_t(n)}});
+        if (link.status != 0) {
+            mod.keep_ = true;
+            internalError("JIT link failed (status ", link.status,
+                          "; sources kept in ", mod.dir_, "):\n",
+                          joinWords(argv), "\n", readFile(log));
+        }
     }
 
     mod.handle_ = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -231,7 +445,17 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
 
     if (!cache_so.empty()) {
         publishToCache(so_path, cache_so);
-        publishToCache(mod.sourcePath_, cache_cpp);
+        if (n == 1) {
+            publishToCache(cpp[0], cache_cpp);
+        } else {
+            // Inspection copy: the units back to back.
+            const std::string joined = mod.dir_ + "/units.cpp";
+            std::ofstream out(joined);
+            for (std::size_t k = 0; k < n; ++k)
+                out << "// ---- unit " << k << "\n" << units[k];
+            out.close();
+            publishToCache(joined, cache_cpp);
+        }
     }
     return mod;
 }

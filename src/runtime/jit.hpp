@@ -3,13 +3,16 @@
  * JIT harness: compiles generated C++ with the system compiler into a
  * shared object and loads it, mirroring how PolyMage's generated code
  * was built with icc in the paper (here: g++ -O3 -march=native
- * -fopenmp).
+ * -fopenmp).  A multi-unit build compiles its translation units as
+ * concurrent `g++ -c` jobs and links the objects with one
+ * `g++ -shared` (docs/INTERNALS.md, "JIT units").
  */
 #ifndef POLYMAGE_RUNTIME_JIT_HPP
 #define POLYMAGE_RUNTIME_JIT_HPP
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace polymage::rt {
 
@@ -22,12 +25,17 @@ struct JitOptions
     bool openmp = true;
     /** When false, auto-vectorisation is disabled (-fno-tree-vectorize). */
     bool vectorize = true;
-    /** Keep the temp directory (sources, errors) for inspection. */
+    /**
+     * Keep the build directory (sources, objects, logs) for
+     * inspection.  It lives under std::filesystem::temp_directory_path()
+     * ($TMPDIR, else /tmp); a failed build always keeps it.
+     */
     bool keepFiles = false;
     std::string extraFlags;
     /**
      * Use the persistent object cache: shared objects are keyed by a
-     * hash of (source, flags, compiler version) and stored under
+     * hash of (every unit's source, flags, compiler version) and
+     * stored under
      * $XDG_CACHE_HOME/polymage/jit, so rebuilding an unchanged pipeline
      * skips the compiler entirely.  Disable per-module here or
      * process-wide with POLYMAGE_JIT_CACHE=0.
@@ -46,6 +54,20 @@ class JitModule
     static JitModule compile(const std::string &source,
                              const JitOptions &opts = {});
 
+    /**
+     * Compile each of @p units as its own translation unit, at most
+     * hardware_concurrency() compiler jobs at a time machine-wide
+     * (flock'ed slot files under the temp directory), then link the
+     * objects into one shared object and load it.  A
+     * single unit compiles straight to the shared object.  When a
+     * trace registry is current, each job reports a `jit.unit` span
+     * (args `unit`, `lines`) and the link a `jit.link` span.
+     * @throws InternalError naming the failing unit, with its
+     * diagnostics, on failure; every unit is kept on disk.
+     */
+    static JitModule compile(const std::vector<std::string> &units,
+                             const JitOptions &opts = {});
+
     JitModule(JitModule &&) noexcept;
     JitModule &operator=(JitModule &&) noexcept;
     JitModule(const JitModule &) = delete;
@@ -55,7 +77,7 @@ class JitModule
     /** Resolve a symbol; throws InternalError when missing. */
     void *symbol(const std::string &name) const;
 
-    /** Path of the generated source file. */
+    /** Path of the generated source file (the first unit's). */
     const std::string &sourcePath() const { return sourcePath_; }
 
     /** True when the shared object was loaded from the persistent

@@ -54,6 +54,32 @@ TraceRegistry::end(int id)
     stack.pop_back();
 }
 
+int
+TraceRegistry::record(const std::string &name,
+                      std::chrono::steady_clock::time_point start,
+                      std::chrono::steady_clock::time_point end,
+                      std::vector<std::pair<std::string, std::int64_t>> args)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    Span s;
+    s.name = name;
+    s.id = int(spans_.size());
+    s.startNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    start - epoch_)
+                    .count();
+    s.durationNs =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+            .count();
+    s.args = std::move(args);
+    const auto &stack = open_[std::this_thread::get_id()];
+    if (!stack.empty()) {
+        s.parent = stack.back();
+        s.depth = spans_[std::size_t(s.parent)].depth + 1;
+    }
+    spans_.push_back(std::move(s));
+    return spans_.back().id;
+}
+
 std::vector<Span>
 TraceRegistry::spans() const
 {
@@ -255,6 +281,12 @@ spansToJson(const std::vector<Span> &spans)
         w.key("depth").value(s.depth);
         w.key("start_ns").value(s.startNs);
         w.key("duration_ns").value(s.durationNs);
+        if (!s.args.empty()) {
+            w.key("args").beginObject();
+            for (const auto &[k, v] : s.args)
+                w.key(k).value(v);
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();
@@ -395,7 +427,18 @@ spansFromJson(const std::string &json)
                         s.startNs = p.integer();
                     else if (f == "duration_ns")
                         s.durationNs = p.integer();
-                    else
+                    else if (f == "args") {
+                        p.expect('{');
+                        bool firsta = true;
+                        while (!p.eat('}')) {
+                            if (!firsta)
+                                p.expect(',');
+                            firsta = false;
+                            std::string k = p.string();
+                            p.expect(':');
+                            s.args.emplace_back(std::move(k), p.integer());
+                        }
+                    } else
                         internalError("trace JSON: unknown field '", f,
                                       "'");
                 }

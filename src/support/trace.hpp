@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace polymage::obs {
@@ -40,6 +41,9 @@ struct Span
     std::int64_t startNs = 0;
     /** -1 while the span is still open. */
     std::int64_t durationNs = -1;
+    /** Integer attributes (e.g. a JIT unit's index and line count);
+     * serialized as an `args` object only when non-empty. */
+    std::vector<std::pair<std::string, std::int64_t>> args;
 
     double
     seconds() const
@@ -62,6 +66,15 @@ class TraceRegistry
     int begin(const std::string &name);
     /** Close the span with the given id. */
     void end(int id);
+    /**
+     * Add an already closed span, parented like begin() would (under
+     * the calling thread's innermost open span).  For intervals timed
+     * elsewhere, e.g. concurrent compiler jobs.
+     */
+    int record(const std::string &name,
+               std::chrono::steady_clock::time_point start,
+               std::chrono::steady_clock::time_point end,
+               std::vector<std::pair<std::string, std::int64_t>> args = {});
 
     /** Snapshot of all spans so far (open spans have durationNs -1). */
     std::vector<Span> spans() const;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "apps/apps.hpp"
+#include "common/entries.hpp"
 #include "core/stream_plan.hpp"
 #include "interp/interpreter.hpp"
 #include "runtime/executor.hpp"
@@ -26,7 +27,9 @@ using rt::Buffer;
  * Every app is checked twice: with the default storage mapping, and
  * with every scratchpad forced onto heap arenas
  * (maxStackScratchBytes = 0) so the hoisted-arena code path gets the
- * same bit-exactness guarantee as the stack path.
+ * same bit-exactness guarantee as the stack path.  The default build
+ * also carries the task and instrumented entries, and each entry of
+ * the split code is checked.
  */
 void
 checkApp(const dsl::PipelineSpec &spec,
@@ -38,21 +41,35 @@ checkApp(const dsl::PipelineSpec &spec,
 
     CompileOptions heap;
     heap.codegen.maxStackScratchBytes = 0;
-    const CompileOptions variants[] = {CompileOptions::optimized(),
-                                       heap};
+    const CompileOptions variants[] = {
+        testing::withEveryEntry(CompileOptions::optimized()), heap};
     for (const CompileOptions &opts : variants) {
         rt::Executable exe = rt::Executable::build(spec, opts);
-        auto outs = exe.run(params, inputs);
-        ASSERT_EQ(outs.size(), ref.outputs.size());
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-            ASSERT_EQ(outs[i].dims(), ref.outputs[i].dims());
-            EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), tol)
-                << "output " << i
-                << (opts.codegen.maxStackScratchBytes == 0
-                        ? " (forced heap scratch)"
-                        : "");
+        std::vector<std::pair<std::string, std::vector<Buffer>>> runs;
+        if (opts.codegen.taskABI)
+            runs = testing::runEveryEntry(exe, params, inputs);
+        else
+            runs.emplace_back("openmp", exe.run(params, inputs));
+        for (const auto &[entry, outs] : runs) {
+            SCOPED_TRACE(entry);
+            ASSERT_EQ(outs.size(), ref.outputs.size());
+            for (std::size_t i = 0; i < outs.size(); ++i) {
+                ASSERT_EQ(outs[i].dims(), ref.outputs[i].dims());
+                EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), tol)
+                    << "output " << i
+                    << (opts.codegen.maxStackScratchBytes == 0
+                            ? " (forced heap scratch)"
+                            : "");
+            }
         }
     }
+}
+
+TEST(Apps, HarrisCorner)
+{
+    const std::int64_t n = 40;
+    Buffer in = rt::synth::photo(n + 2, n + 2);
+    checkApp(buildHarris(n, n), {n, n}, {&in}, 1e-3);
 }
 
 TEST(Apps, UnsharpMask)

@@ -8,6 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "apps/apps.hpp"
 #include "driver/compiler.hpp"
 
@@ -266,6 +269,85 @@ TEST(GoldenInterior, StoresIndexOffHoistedBases)
         }
         EXPECT_GT(stores, 0);
     }
+}
+
+TEST(CodegenUnits, FunctionsPackedIntoUnitsWithEntriesInUnitZero)
+{
+    // A one-group pipeline stays one unit.
+    auto unsharp = compilePipeline(apps::buildUnsharpMask(2048, 2048));
+    ASSERT_EQ(unsharp.code.units.size(), 1u);
+    EXPECT_NE(unsharp.code.units[0].find("extern \"C\" void "
+                                         "polymage_unsharp_mask("),
+              std::string::npos);
+
+    // A many-group pipeline spreads over up to hardware_concurrency()
+    // units; the entry lives in unit 0, every unit compiles alone
+    // (prelude first), and each function is defined exactly once.
+    auto c = compilePipeline(apps::buildPyramidBlend(2048, 2048, 4));
+    const auto &units = c.code.units;
+    const std::size_t cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_LE(units.size(), cores);
+    if (cores > 1)
+        EXPECT_GT(units.size(), 1u);
+    const std::string prelude = "// Generated by PolyMage-cpp.";
+    int entries = 0;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        EXPECT_EQ(units[u].rfind(prelude, 0), 0u) << "unit " << u;
+        EXPECT_EQ(units[u].find("#include <cmath>"), std::string::npos);
+        entries += countOccurrences(units[u], "extern \"C\"");
+        if (u == 0)
+            EXPECT_EQ(entries, 1);
+    }
+    EXPECT_EQ(entries, 1);
+    // Hidden functions: declared lines end in ';', definitions do not.
+    auto hidden = [](const std::string &text, bool decls) {
+        int n = 0;
+        std::size_t bol = 0;
+        while (bol < text.size()) {
+            const std::size_t eol = text.find('\n', bol);
+            const std::string line = text.substr(bol, eol - bol);
+            if (line.rfind("PM_FN ", 0) == 0 &&
+                (line.back() == ';') == decls)
+                ++n;
+            bol = eol == std::string::npos ? text.size() : eol + 1;
+        }
+        return n;
+    };
+    int defined = 0;
+    for (const auto &unit : units)
+        defined += hidden(unit, false);
+    EXPECT_GT(defined, 20);
+    EXPECT_EQ(defined, hidden(c.code.source, false));
+    EXPECT_EQ(defined, hidden(c.code.source, true));
+}
+
+TEST(CodegenUnits, FusedTileStagesAreOutlinedPerTile)
+{
+    // Harris's fused group: one tile loop calling one nest function per
+    // stage, with scratchpads passed as restrict pointers.
+    auto c = compilePipeline(apps::buildHarris(2048, 2048));
+    const std::string &src = c.code.source;
+    const std::size_t tile = src.find("for (long long T1 =");
+    ASSERT_NE(tile, std::string::npos);
+    const std::string loop =
+        src.substr(tile, src.find("\n    }", tile) - tile);
+    EXPECT_EQ(countOccurrences(loop, "pm_g0_s"),
+              int(c.graph.stages().size()));
+    EXPECT_NE(src.find("float *__restrict scr_Ix"), std::string::npos);
+}
+
+TEST(CodegenUnits, OuterSelectsSpecialisedPerChannelAndParity)
+{
+    // Camera's `processed` selects on the channel c, and the demosaic
+    // stages on the row parity x % 2: each outlined nest is split per
+    // value so no such select is left for the compiler to unswitch.
+    auto c = compilePipeline(apps::buildCameraPipeline(2528, 1920),
+                             CompileOptions{});
+    EXPECT_EQ(c.code.source.find("(c == "), std::string::npos);
+    EXPECT_EQ(c.code.source.find("pm_floormod((long long)x"),
+              std::string::npos);
+    EXPECT_NE(c.code.source.find("x += 2)"), std::string::npos);
 }
 
 TEST(CodegenFeatures, ParityCasesBecomeStridedLoops)

@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/entries.hpp"
 #include "dsl/dsl.hpp"
 #include "interp/interpreter.hpp"
 #include "runtime/executor.hpp"
@@ -50,12 +51,17 @@ checkPipeline(const PipelineSpec &spec,
                                  ? cg::VectorizeMode::Explicit
                                  : cg::VectorizeMode::Off;
 
-    rt::Executable exe = rt::Executable::build(spec, opts);
-    auto outs = exe.run(params, inputs);
-    ASSERT_EQ(outs.size(), ref.outputs.size());
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-        EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), tol)
-            << "output " << i << " of " << spec.name();
+    // Every entry of the split code: OpenMP, task and instrumented.
+    rt::Executable exe =
+        rt::Executable::build(spec, testing::withEveryEntry(opts));
+    for (const auto &[entry, outs] :
+         testing::runEveryEntry(exe, params, inputs)) {
+        ASSERT_EQ(outs.size(), ref.outputs.size());
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+            EXPECT_LE(outs[i].maxAbsDiff(ref.outputs[i]), tol)
+                << "output " << i << " of " << spec.name() << " ("
+                << entry << " entry)";
+        }
     }
 }
 

@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "apps/apps.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/jit.hpp"
+#include "runtime/synth.hpp"
 #include "support/diagnostics.hpp"
+#include "support/trace.hpp"
 
 namespace polymage::rt {
 namespace {
@@ -194,6 +203,215 @@ TEST(Jit, ConcurrentWritersPublishOneCleanEntry)
     JitModule c = JitModule::compile(src);
     EXPECT_TRUE(c.fromCache());
     EXPECT_EQ(reinterpret_cast<int (*)()>(c.symbol("pm_race"))(), 9);
+}
+
+/** Two units: the extern "C" entry calls a hidden function in unit 1. */
+std::vector<std::string>
+twoUnits(const std::string &tag)
+{
+    return {"__attribute__((visibility(\"hidden\"))) int pm_" + tag +
+                "_half(int);\n"
+                "extern \"C\" int pm_" + tag + "(int a) { return 2 * pm_" +
+                tag + "_half(a); }\n",
+            "__attribute__((visibility(\"hidden\"))) int pm_" + tag +
+                "_half(int a) { return a / 2 + 1; }\n"};
+}
+
+/** The spans named @p name among @p spans. */
+std::vector<obs::Span>
+spansNamed(const std::vector<obs::Span> &spans, const std::string &name)
+{
+    std::vector<obs::Span> out;
+    for (const auto &s : spans) {
+        if (s.name == name)
+            out.push_back(s);
+    }
+    return out;
+}
+
+TEST(Jit, MultiUnitBuildLinksOneModuleWithSpans)
+{
+    ScopedCacheDir cache;
+    obs::TraceRegistry reg;
+    obs::ScopedCurrent install(&reg);
+    std::optional<JitModule> mod;
+    {
+        obs::ScopedTrace jit(&reg, "jit");
+        mod = JitModule::compile(twoUnits("linked"));
+    }
+    auto fn = reinterpret_cast<int (*)(int)>(mod->symbol("pm_linked"));
+    EXPECT_EQ(fn(20), 22);
+    // Hidden functions are not exported from the shared object.
+    EXPECT_THROW(mod->symbol("pm_linked_half"), InternalError);
+    EXPECT_EQ(cache.sharedObjects(), 1u);
+
+    const auto spans = reg.spans();
+    const auto units = spansNamed(spans, "jit.unit");
+    const auto links = spansNamed(spans, "jit.link");
+    ASSERT_EQ(units.size(), 2u);
+    ASSERT_EQ(links.size(), 1u);
+    const int jit_id = spansNamed(spans, "jit").at(0).id;
+    for (std::size_t k = 0; k < units.size(); ++k) {
+        EXPECT_EQ(units[k].parent, jit_id);
+        ASSERT_EQ(units[k].args.size(), 2u);
+        EXPECT_EQ(units[k].args[0].first, "unit");
+        EXPECT_EQ(units[k].args[0].second, std::int64_t(k));
+        EXPECT_EQ(units[k].args[1].first, "lines");
+        EXPECT_EQ(units[k].args[1].second, k == 0 ? 2 : 1);
+        EXPECT_GE(units[k].durationNs, 0);
+    }
+    EXPECT_EQ(links[0].parent, jit_id);
+    // The args survive the trace schema round trip.
+    const auto back = obs::spansFromJson(reg.toJson());
+    EXPECT_EQ(spansNamed(back, "jit.unit").at(1).args, units[1].args);
+}
+
+TEST(Jit, MultiUnitCacheHitSkipsEveryCompiler)
+{
+    ScopedCacheDir cache;
+    const auto units = twoUnits("hit");
+    JitModule first = JitModule::compile(units);
+    EXPECT_FALSE(first.fromCache());
+
+    obs::TraceRegistry reg;
+    obs::ScopedCurrent install(&reg);
+    JitModule second = JitModule::compile(units);
+    EXPECT_TRUE(second.fromCache());
+    EXPECT_TRUE(spansNamed(reg.spans(), "jit.unit").empty());
+    EXPECT_TRUE(spansNamed(reg.spans(), "jit.link").empty());
+    EXPECT_EQ(cache.sharedObjects(), 1u);
+    EXPECT_EQ(reinterpret_cast<int (*)(int)>(second.symbol("pm_hit"))(8),
+              10);
+}
+
+TEST(Jit, ChangingAnyUnitMissesTheCache)
+{
+    ScopedCacheDir cache;
+    const auto units = twoUnits("miss");
+    JitModule base = JitModule::compile(units);
+    for (std::size_t k = 0; k < units.size(); ++k) {
+        auto changed = units;
+        changed[k] += "// edited\n";
+        JitModule mod = JitModule::compile(changed);
+        EXPECT_FALSE(mod.fromCache()) << "unit " << k;
+        EXPECT_EQ(cache.sharedObjects(), k + 2);
+    }
+    // Moving text across a unit boundary is a different build too.
+    auto moved = units;
+    moved[1] = moved[0].substr(moved[0].size() - 1) + moved[1];
+    moved[0].pop_back();
+    JitModule mod = JitModule::compile(moved);
+    EXPECT_FALSE(mod.fromCache());
+}
+
+TEST(Jit, CompileErrorNamesTheFailingUnit)
+{
+    // Build directories honour TMPDIR; a failed build keeps them.
+    char tmpl[] = "/tmp/polymage_jit_tmpdir_test_XXXXXX";
+    const std::string tmp = mkdtemp(tmpl);
+    ScopedEnv tmpdir("TMPDIR", tmp);
+    auto units = twoUnits("broken");
+    units[1] += "int pm_undeclared_marker() { return pm_no_such_name; }\n";
+    try {
+        JitModule::compile(units);
+        FAIL() << "expected InternalError";
+    } catch (const InternalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("failed in unit 1 of 2"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("pm_no_such_name"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("kept in " + tmp + "/polymage_jit_"),
+                  std::string::npos)
+            << msg;
+    }
+    // Every unit is kept for inspection.
+    std::size_t sources = 0;
+    for (const auto &d : std::filesystem::directory_iterator(tmp)) {
+        for (const auto &f : std::filesystem::directory_iterator(d))
+            sources += f.path().extension() == ".cpp";
+    }
+    EXPECT_EQ(sources, 2u);
+    std::error_code ec;
+    std::filesystem::remove_all(tmp, ec);
+}
+
+TEST(Jit, ConcurrentMultiUnitBuildersPublishOneCleanEntry)
+{
+    ScopedCacheDir cache;
+    const auto units = twoUnits("race2");
+    std::optional<JitModule> a, b;
+    std::thread ta([&] { a = JitModule::compile(units); });
+    std::thread tb([&] { b = JitModule::compile(units); });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(a.has_value());
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(reinterpret_cast<int (*)(int)>(a->symbol("pm_race2"))(4), 6);
+    EXPECT_EQ(reinterpret_cast<int (*)(int)>(b->symbol("pm_race2"))(4), 6);
+    EXPECT_EQ(cache.sharedObjects(), 1u);
+    for (const auto &e :
+         std::filesystem::directory_iterator(cache.path()))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << "leftover temp file " << e.path();
+    JitModule c = JitModule::compile(units);
+    EXPECT_TRUE(c.fromCache());
+}
+
+TEST(Jit, CompilerJobsWaitForAMachineWideSlot)
+{
+    // Another process holding every job slot (flock'ed files under
+    // $TMPDIR/polymage-jit-slots) holds back this process's compiler.
+    char tmpl[] = "/tmp/polymage_jit_slots_test_XXXXXX";
+    const std::string tmp = mkdtemp(tmpl);
+    ScopedEnv tmpdir("TMPDIR", tmp);
+    ScopedCacheDir cache;
+    const std::string dir = tmp + "/polymage-jit-slots";
+    std::filesystem::create_directories(dir);
+    std::vector<int> held;
+    const unsigned slots = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned k = 0; k < slots; ++k) {
+        const int fd = ::open((dir + "/" + std::to_string(k)).c_str(),
+                              O_RDONLY | O_CREAT | O_CLOEXEC, 0666);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::flock(fd, LOCK_EX), 0);
+        held.push_back(fd);
+    }
+    std::atomic<bool> done{false};
+    std::thread t([&] {
+        JitModule::compile("extern \"C\" int pm_slotted() { return 1; }\n");
+        done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    EXPECT_FALSE(done.load());
+    for (int fd : held)
+        ::close(fd);
+    t.join();
+    EXPECT_TRUE(done.load());
+    std::error_code ec;
+    std::filesystem::remove_all(tmp, ec);
+}
+
+TEST(Jit, ExecutableTeardownExitsCleanly)
+{
+    // Build, run and destroy a pipeline from a cold compile, then exit:
+    // unloading the last OpenMP module must not unload the OpenMP
+    // runtime under its parked pool threads.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ScopedEnv off("POLYMAGE_JIT_CACHE", "0");
+            {
+                const std::int64_t n = 32;
+                auto exe = Executable::build(apps::buildHarris(n, n));
+                const Buffer in = synth::photo(n + 2, n + 2);
+                auto outs = exe.run({n, n}, {&in});
+                if (outs.size() != 1)
+                    std::exit(3);
+            }
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Jit, OpenMPAvailableInJitCode)
