@@ -7,7 +7,9 @@
 #   explicit (default) -- the dumped source must carry pm_v_ typedefs
 #       and typed vector loop bodies, and the compiled object code must
 #       contain wide SIMD register traffic (zmm/ymm, or xmm on narrow
-#       hosts).  A silent fallback to scalar code fails the check.
+#       hosts).  A silent fallback to scalar code fails the check.  The
+#       scalar remainder loops (under `#pragma omp simd if(0)`) must
+#       get no vectorisation report.
 #   pragma -- `#pragma omp simd` on interior loops, no pm_v_ types, and
 #       the host compiler's vectorisation report must confirm that the
 #       interior loop of a representative stencil store (the first
@@ -54,8 +56,42 @@ if [ "$nvec" -lt 4 ]; then
     exit 1
 fi
 
-# shellcheck disable=SC2086
-"$cxx" $flags -o "$tmp/$app.explicit.so" "$gen"
+# The scalar remainder of every explicit nest is a loop under
+# `#pragma omp simd if(0)`; the compiler must not vectorise it.  Lines
+# of those loops: from the line after the pragma to its closing brace.
+remainder_lines=$(awk '
+    /#pragma omp simd if\(0\)/ { start = NR + 1; depth = 0; next }
+    start && NR >= start {
+        print NR
+        depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+        if (depth <= 0 && NR > start) start = 0
+    }' "$gen")
+if [ -z "$remainder_lines" ]; then
+    echo "check_vectorize: explicit mode emitted no scalar remainder" \
+         "loops under omp simd if(0)" >&2
+    exit 1
+fi
+log="$tmp/vec.explicit.log"
+if "$cxx" --version | head -1 | grep -qi clang; then
+    # shellcheck disable=SC2086
+    "$cxx" $flags -Rpass=loop-vectorize -o "$tmp/$app.explicit.so" \
+        "$gen" 2> "$log" || { cat "$log" >&2; exit 1; }
+else
+    # shellcheck disable=SC2086
+    "$cxx" $flags "-fopt-info-vec-optimized=$log" \
+        -o "$tmp/$app.explicit.so" "$gen"
+fi
+nrem=$(echo "$remainder_lines" | awk 'prev != $1 - 1 { n++ } { prev = $1 }
+    END { print n }')
+for l in $remainder_lines; do
+    if grep -E ":$l:[0-9]+:.*(loop vectorized|vectorized loop)" "$log" \
+        >/dev/null; then
+        echo "check_vectorize: scalar remainder loop (line $l) was" \
+             "vectorised in explicit mode; report follows" >&2
+        grep -E ":$l:" "$log" >&2
+        exit 1
+    fi
+done
 asm="$tmp/$app.explicit.asm"
 objdump -d "$tmp/$app.explicit.so" > "$asm"
 wide=$(grep -cE '%(zmm|ymm)' "$asm" || true)
@@ -140,5 +176,6 @@ fi
 "$cxx" $flags -o "$tmp/$app.off.so" "$gen"
 
 echo "check_vectorize: OK (explicit: $nvec pm_v_ mentions," \
-     "$wide wide-register instrs; pragma: '$pattern' interior loop" \
+     "$wide wide-register instrs, $nrem scalar remainders kept scalar;" \
+     "pragma: '$pattern' interior loop" \
      "auto-vectorised, $ok loops total; off: scalar build clean)"

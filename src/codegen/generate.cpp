@@ -1,6 +1,7 @@
 #include "codegen/generate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <optional>
@@ -77,6 +78,147 @@ forEachIdentifier(std::string_view code, Out out)
             ++i;
         }
     }
+}
+
+/** Identifier characters, by byte. */
+constexpr auto kNameChar = [] {
+    std::array<bool, 256> t{};
+    for (int c = 0; c < 256; ++c)
+        t[std::size_t(c)] = (c >= 'a' && c <= 'z') ||
+                            (c >= 'A' && c <= 'Z') ||
+                            (c >= '0' && c <= '9') || c == '_';
+    return t;
+}();
+
+/** Whether @p c is an identifier character. */
+bool
+isNameChar(char c)
+{
+    return kNameChar[static_cast<unsigned char>(c)];
+}
+
+/** Whether @p id is a C++ keyword (or `std`): never a local's name. */
+bool
+isKeyword(std::string_view id)
+{
+    static constexpr std::string_view keywords[] = {
+        "alignas", "alignof", "asm", "auto", "bool", "break", "case",
+        "catch", "char", "class", "const", "constexpr", "const_cast",
+        "continue", "decltype", "default", "delete", "do", "double",
+        "dynamic_cast", "else", "enum", "explicit", "extern", "false",
+        "float", "for", "goto", "if", "inline", "int", "long", "new",
+        "noexcept", "nullptr", "operator", "register", "reinterpret_cast",
+        "return", "short", "signed", "sizeof", "static", "static_cast",
+        "struct", "switch", "template", "this", "thread_local", "true",
+        "typedef", "typename", "union", "unsigned", "void", "volatile",
+        "while", "std"};
+    if (id.size() > 16 || id[0] < 'a' || id[0] > 'w')
+        return false;
+    for (const std::string_view k : keywords) {
+        if (k.size() == id.size() && k[0] == id[0] && k == id)
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The alpha-equivalence key of generated function @p text named
+ * @p self: the text without comments, with @p self replaced by a
+ * marker and every other name that can only be a parameter or local
+ * renamed by first occurrence.  Kept verbatim: keywords, called names
+ * (followed by `(`: prelude helpers, builtins, other functions),
+ * `__`-prefixed names, the prelude's `pm_v_` vector types and
+ * preprocessor lines.  Two functions with one key differ only in the
+ * names of their parameters and locals, so one definition serves both
+ * callers, each passing its own arguments.
+ */
+std::string
+alphaKey(std::string_view text, std::string_view self)
+{
+    std::string key;
+    key.reserve(text.size());
+    // Local index by name.
+    std::unordered_map<std::string_view, int> names;
+    for (std::size_t i = 0; i < text.size();) {
+        const std::size_t eol = std::min(text.find('\n', i), text.size());
+        const std::size_t first = text.find_first_not_of(' ', i);
+        if (first < eol && text[first] == '#') {
+            key.append(text.substr(i, eol + 1 - i));
+            i = eol + 1;
+            continue;
+        }
+        while (i < eol) {
+            const char c = text[i];
+            if (c == '/' && i + 1 < eol && text[i + 1] == '/')
+                break; // a comment, to the end of the line
+            std::size_t j = i + 1;
+            if (!isNameChar(c)) {
+                while (j < eol && !isNameChar(text[j]) && text[j] != '/')
+                    ++j;
+                key.append(text.substr(i, j - i));
+                i = j;
+                continue;
+            }
+            const bool number = c >= '0' && c <= '9';
+            while (j < eol &&
+                   (isNameChar(text[j]) || (number && text[j] == '.')))
+                ++j;
+            const std::string_view id = text.substr(i, j - i);
+            i = j;
+            if (id == self) {
+                key += "@self";
+                continue;
+            }
+            if (number || (j < eol && (text[j] == '(' || text[j] == ':')) ||
+                isKeyword(id) || id.rfind("__", 0) == 0 ||
+                id.rfind("pm_v_", 0) == 0) {
+                key.append(id);
+                continue;
+            }
+            const int index =
+                names.emplace(id, int(names.size())).first->second;
+            // '@' and the index as a varint: self-delimiting, and '@'
+            // never occurs in generated code.
+            key += '@';
+            unsigned v = unsigned(index);
+            for (; v >= 0x80; v >>= 7)
+                key += char(0x80 | (v & 0x7f));
+            key += char(v);
+        }
+        key += '\n';
+        i = eol + 1;
+    }
+    return key;
+}
+
+/**
+ * A hash of @p text with comments dropped and every name (a run of
+ * identifier characters not starting with a digit) reduced to one
+ * marker: functions with equal alphaKey() have equal shapes.  One pass
+ * without lookups, so every function gets one, and alphaKey() runs
+ * only on the functions whose shapes match (codegen runs on every warm
+ * build).
+ */
+std::uint64_t
+alphaShape(std::string_view text)
+{
+    std::uint64_t h = 14695981039346656037ull; // FNV-1a
+    for (std::size_t i = 0; i < text.size();) {
+        const unsigned char c = static_cast<unsigned char>(text[i]);
+        if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
+            i = std::min(text.find('\n', i), text.size());
+            continue;
+        }
+        ++i;
+        if (isNameChar(char(c)) && !(c >= '0' && c <= '9')) {
+            while (i < text.size() && isNameChar(text[i]))
+                ++i;
+            h = (h ^ '@') * 1099511628211ull;
+        } else {
+            h = (h ^ c) * 1099511628211ull;
+        }
+    }
+    return h;
 }
 
 /**
@@ -229,13 +371,50 @@ struct CaseNest
 };
 
 /**
- * Function source per JIT unit.  A unit costs a compiler process and
- * its prelude parse (about 0.1 s), so a small pipeline (unsharp,
- * bilateral) stays one unit.  Measured on the paper apps at scale 0.5
- * (4 cores, g++ 12): 10, 12 and 16 KB all cold-build the seven in
- * 7–8.5 s; 32 KB and 48 KB in 8.3 and 10.5–11.6 s.
+ * Estimated g++ cost of a generated function: one for the function,
+ * one per loop and four per loop g++ is asked to vectorise (`omp simd`
+ * without `if(0)`: it if-converts, versions and peels those).  A least-
+ * squares fit over the 131 functions of the seven paper apps at scale
+ * 0.5 (4 cores, g++ 12 -O3) gave 11 ms per function, 12 ms per loop and
+ * 44 ms per `omp simd` loop; g++ time correlates 0.78 with the
+ * estimate, 0.64 with the loop count and 0.37 with the source bytes.
  */
-constexpr std::size_t kUnitBytes = 12 << 10;
+long long
+compileCost(std::string_view text)
+{
+    // Generated loops and pragmas each open a line.
+    long long cost = 1;
+    for (std::size_t i = 0; i < text.size();) {
+        const std::size_t eol = std::min(text.find('\n', i), text.size());
+        const std::string_view line = text.substr(i, eol - i);
+        const std::size_t first = line.find_first_not_of(' ');
+        if (first != std::string_view::npos) {
+            const std::string_view code = line.substr(first);
+            if (code.rfind("for (", 0) == 0)
+                cost += 1;
+            else if (code.rfind("#pragma omp ", 0) == 0 &&
+                     code.find("simd") != std::string_view::npos &&
+                     code.find("if(0)") == std::string_view::npos)
+                cost += 3;
+        }
+        i = eol + 1;
+    }
+    return cost;
+}
+
+/**
+ * Estimated cost (compileCost) that pays for a unit of its own: its
+ * compiler process, prelude parse and share of the link take about
+ * 0.05-0.1 s, some 8 cost units.  Unsharp (cost 26, largest function
+ * 13) then compiles as two units, a four-core machine runs the pyramid
+ * apps as four.
+ */
+constexpr long long kUnitCost = 8;
+
+/** The task entry's per-thread scratch arena (emitTaskArena). */
+constexpr const char *kTaskArenaDecl =
+    "__attribute__((visibility(\"hidden\"))) void *pm_task_arena(long "
+    "long bytes)";
 
 /** Most nests specializeSelects makes out of one loop dimension. */
 constexpr std::int64_t kMaxSelectSplit = 4;
@@ -426,17 +605,28 @@ class Generator
     void emitPrelude();
     void emitEntry(bool instrumented);
     void emitTaskEntry();
+    /**
+     * Define pm_task_arena, once per module (unit 0; the prelude
+     * declares it): task entries are invoked once per chunk of tiles,
+     * so a heap scratch arena allocated inside the call would be paid
+     * on every chunk.  Each thread caches one instead, grown
+     * monotonically, reused across calls and groups, released at
+     * thread exit.
+     */
+    void emitTaskArena();
     /** Entry-scope locals every group function draws from (locals_). */
     void buildLocals();
     /**
      * Pack fns_ into translation units (docs/INTERNALS.md, "JIT
-     * units"): one per kUnitBytes of function source, at most one per
-     * hardware thread, filled largest function first into the
-     * lightest unit, with the extern "C" entries in unit 0.  Each unit
+     * units") by estimated compile cost: one per kUnitCost, but no
+     * more than the largest function leaves room for and at most one
+     * per hardware thread, filled costliest function first into the
+     * cheapest unit, with the unit-0 definitions in unit 0.  Each unit
      * is @p prelude, declarations of the hidden functions its functions
-     * call, and its functions.
+     * call, and its functions; @p cost receives each unit's estimate.
      */
-    std::vector<std::string> packUnits(const std::string &prelude) const;
+    std::vector<std::string> packUnits(const std::string &prelude,
+                                       std::vector<long long> &cost) const;
 
     /** A group function's call and the phases it owns. */
     struct GroupCall
@@ -633,13 +823,55 @@ class Generator
         /** Signature, without body or semicolon. */
         std::string header;
         std::string text;
-        /** An extern "C" entry (a driver), not a hidden function. */
+        /** Estimated compile cost (compileCost). */
+        long long cost = 0;
+        /**
+         * Defined in unit 0 and not declared with the hidden functions:
+         * an extern "C" entry (a driver) or the task arena, which the
+         * prelude declares.
+         */
         bool entry = false;
         /** The hidden functions it calls. */
         std::vector<std::string> callees;
     };
     /** Every emitted function: each group's function, then its nests. */
     std::vector<Fn> fns_;
+    /** The defined hidden functions' names by alphaShape(). */
+    std::unordered_multimap<std::uint64_t, std::string> fnByShape_;
+    /** alphaKey() of the defined functions that needed one, by name. */
+    std::unordered_map<std::string, std::string> fnKey_;
+
+    /**
+     * Insert @p fn into fns_ at @p pos and return its name, unless an
+     * alpha-equivalent function is already defined: then return that
+     * one's name and drop @p fn.
+     */
+    std::string
+    define(Fn fn, std::size_t pos)
+    {
+        const std::uint64_t shape = alphaShape(fn.text);
+        const auto [lo, hi] = fnByShape_.equal_range(shape);
+        if (lo != hi) {
+            std::string key = alphaKey(fn.text, fn.name);
+            for (auto it = lo; it != hi; ++it) {
+                auto [known, fresh] = fnKey_.try_emplace(it->second);
+                if (fresh) {
+                    const Fn &f = *std::find_if(
+                        fns_.begin(), fns_.end(),
+                        [&](const Fn &g) { return g.name == it->second; });
+                    known->second = alphaKey(f.text, f.name);
+                }
+                if (known->second == key)
+                    return it->second;
+            }
+            fnKey_.emplace(fn.name, std::move(key));
+        }
+        fnByShape_.emplace(shape, fn.name);
+        std::string name = fn.name;
+        fn.cost = compileCost(fn.text);
+        fns_.insert(fns_.begin() + std::ptrdiff_t(pos), std::move(fn));
+        return name;
+    }
     /**
      * Name, call statement and argument names of each outlined
      * tiled-stage nest by (group, stage).  The nests are rendered on the primary pass; the
@@ -817,19 +1049,8 @@ Generator::emitPrelude()
     w_.line("bytes = (bytes + 63) & ~63LL;");
     w_.line("return std::aligned_alloc(64, (unsigned long)bytes);");
     w_.close();
-    // Task entries are invoked once per chunk of tiles, so a heap
-    // scratch arena allocated inside the call would be paid on every
-    // chunk.  Cache it per thread instead: grown monotonically, reused
-    // across calls, released at thread exit.
-    w_.line("struct PmArena { void *p = nullptr; long long cap = 0; "
-            "~PmArena() { std::free(p); } };");
-    w_.line("static inline void *pm_task_arena(long long bytes)");
-    w_.open("");
-    w_.line("static thread_local PmArena a;");
-    w_.line("if (a.cap < bytes) { std::free(a.p); a.p = "
-            "pm_alloc(bytes); a.cap = bytes; }");
-    w_.line("return a.p;");
-    w_.close();
+    if (opts_.taskABI)
+        w_.line(std::string(kTaskArenaDecl) + ";");
     w_.line("static inline double pm_now()");
     w_.open("");
     w_.line("struct timespec ts;");
@@ -1426,8 +1647,17 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
                 w_.line(dims[d].var + " = " + ub + " + 1;");
                 w_.close();
             }
-            w_.open("for (; " + dims[d].var + " <= " + ub + "; ++" +
-                    dims[d].var + ")");
+            // The scalar remainder runs fewer than one vector's worth of
+            // iterations (with the masked epilogue, only on rows
+            // shorter than a vector), so it stays scalar: `if(0)`
+            // keeps g++ -O3 from vectorising it a second time (GCC 12
+            // has no novector pragma), and the clause needs the
+            // canonical loop form, hence the fresh induction variable.
+            w_.line("const int pm_rem = " + dims[d].var + ";");
+            w_.line("#pragma omp simd if(0)");
+            w_.open("for (int " + dims[d].var + " = pm_rem; " +
+                    dims[d].var + " <= " + ub + "; ++" + dims[d].var +
+                    ")");
             opened += 2; // wrapper block + tail loop
             continue;
         }
@@ -1792,10 +2022,12 @@ Generator::emitTiledStageCall(int gi, int s, const std::vector<int> &tiled,
         for (const auto &d : decls)
             fn.text += "    " + d + "\n";
         fn.text += body + "}\n\n";
-        fns_.push_back(std::move(fn));
+        // An alpha-equivalent nest (another pyramid's level) already
+        // defined: call that one with this stage's arguments.
+        const std::string callee = define(std::move(fn), fns_.size());
         it = nestCalls_
                  .emplace(std::make_pair(gi, s),
-                          NestCall{name, name + "(" + call + ");",
+                          NestCall{callee, callee + "(" + call + ");",
                                    std::move(args)})
                  .first;
     }
@@ -2328,8 +2560,8 @@ Generator::emitGroupFunction(int gi)
         fn.text += "    return 0;\n";
     fn.text += "}\n\n";
     // The group's function goes before the nest functions it calls.
-    fns_.insert(fns_.begin() + std::ptrdiff_t(first), std::move(fn));
-    return {name, name + "(" + call + ");"};
+    const std::string callee = define(std::move(fn), first);
+    return {callee, callee + "(" + call + ");"};
 }
 
 std::vector<Generator::GroupCall>
@@ -2439,38 +2671,69 @@ Generator::emitTaskEntry()
     task_ = false;
 }
 
-std::vector<std::string>
-Generator::packUnits(const std::string &prelude) const
+void
+Generator::emitTaskArena()
 {
-    std::size_t total = 0;
-    for (const Fn &f : fns_)
-        total += f.text.size();
-    const std::size_t n =
-        std::clamp<std::size_t>(total / kUnitBytes, 1,
-                                std::min<std::size_t>(
-                                    fns_.size(),
-                                    std::max(1u, std::thread::
-                                                     hardware_concurrency())));
-    // Entries in unit 0, then largest function first into the lightest
-    // unit (LPT).
-    std::vector<std::size_t> load(n, 0), unit(fns_.size(), 0);
+    CodeWriter w;
+    w.line("struct PmArena { void *p = nullptr; long long cap = 0; "
+           "~PmArena() { std::free(p); } };");
+    w.line(kTaskArenaDecl);
+    w.open("");
+    w.line("static thread_local PmArena a;");
+    w.line("if (a.cap < bytes) { std::free(a.p); a.p = pm_alloc(bytes); "
+           "a.cap = bytes; }");
+    w.line("return a.p;");
+    w.close();
+    w.blank();
+    Fn fn;
+    fn.entry = true;
+    fn.name = "pm_task_arena";
+    fn.text = w.str();
+    fns_.push_back(std::move(fn));
+}
+
+std::vector<std::string>
+Generator::packUnits(const std::string &prelude,
+                     std::vector<long long> &cost) const
+{
+    long long total = 0, largest = 1;
+    std::size_t hidden = 0;
+    for (const Fn &f : fns_) {
+        total += f.cost;
+        if (!f.entry) {
+            largest = std::max(largest, f.cost);
+            ++hidden;
+        }
+    }
+    // No unit finishes before the costliest function does, so units
+    // beyond total / largest only add compiler start-ups.
+    const long long per = std::max(kUnitCost, largest);
+    const std::size_t n = std::clamp<std::size_t>(
+        std::size_t((total + per - 1) / per), 1,
+        std::max<std::size_t>(
+            1, std::min<std::size_t>(
+                   hidden, std::thread::hardware_concurrency())));
+    // Unit-0 definitions first, then costliest function first into the
+    // cheapest unit (LPT).
+    std::vector<long long> load(n, 0);
+    std::vector<std::size_t> unit(fns_.size(), 0);
     std::vector<std::size_t> order;
     for (std::size_t i = 0; i < fns_.size(); ++i) {
         if (fns_[i].entry)
-            load[0] += fns_[i].text.size();
+            load[0] += fns_[i].cost;
         else
             order.push_back(i);
     }
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return fns_[a].text.size() > fns_[b].text.size();
+                         return fns_[a].cost > fns_[b].cost;
                      });
     for (std::size_t i : order) {
         const std::size_t u =
             std::size_t(std::min_element(load.begin(), load.end()) -
                         load.begin());
         unit[i] = u;
-        load[u] += fns_[i].text.size();
+        load[u] += fns_[i].cost;
     }
 
     std::vector<std::string> units;
@@ -2491,6 +2754,7 @@ Generator::packUnits(const std::string &prelude) const
                 text += f.header + ";\n";
         }
         units.push_back(text + "\n" + defs);
+        cost.push_back(load[u]);
     }
     return units;
 }
@@ -2507,7 +2771,7 @@ Generator::run()
           "T6", "T7", "pm_tau0", "pm_tau1", "pm_tau2", "pm_tau3",
           "pm_tau4", "pm_tau5", "pm_tau6", "pm_tau7", "pm_phase",
           "pm_lo", "pm_hi", "pm_t", "pm_te", "pm_tr", "pm_n",
-          "pm_vskip", "pm_vm", "pm_tail"}) {
+          "pm_vskip", "pm_vm", "pm_tail", "pm_rem"}) {
         used_.insert(n);
     }
     // Shape-generic mode: one runtime tile-size parameter per tiled
@@ -2539,8 +2803,10 @@ Generator::run()
     emitEntry(false);
     if (opts_.instrument)
         emitEntry(true);
-    if (opts_.taskABI)
+    if (opts_.taskABI) {
         emitTaskEntry();
+        emitTaskArena();
+    }
     // The extern "C" entries lead, then each group's function followed
     // by its nest functions.
     std::stable_partition(fns_.begin(), fns_.end(),
@@ -2555,7 +2821,7 @@ Generator::run()
     const std::string prelude = w_.str();
 
     GeneratedCode out;
-    out.units = packUnits(prelude);
+    out.units = packUnits(prelude, out.unitCosts);
     out.source = prelude;
     for (const Fn &f : fns_) {
         if (!f.entry)

@@ -164,18 +164,23 @@ struct GeneratedCode
 {
     /**
      * The whole program as one compilable translation unit: prelude,
-     * declarations, the extern "C" entries, then each group's function
-     * followed by its nest functions.  For inspection and source tests;
-     * the JIT builds `units`.
+     * declarations, the extern "C" entries (and the task arena), then
+     * each group's function followed by its nest functions, one
+     * definition per alpha-equivalent function.  For inspection and
+     * source tests; the JIT builds `units`.
      */
     std::string source;
     /**
      * The same functions spread over up to hardware_concurrency()
-     * translation units packed by source size (docs/INTERNALS.md, "JIT
-     * units"); the entries live in unit 0.  rt::JitModule compiles them
-     * concurrently and links them into one shared object.
+     * translation units packed by estimated compile cost
+     * (docs/INTERNALS.md, "JIT units"); the entries live in unit 0.
+     * rt::JitModule compiles them concurrently and links them into one
+     * shared object.
      */
     std::vector<std::string> units;
+    /** The estimated compile cost of each of `units` (loops, `omp
+     * simd` loops weighted 3; the `est_cost` of its `jit.unit` span). */
+    std::vector<long long> unitCosts;
     /**
      * Entry symbol:
      * void entry(const long long *params, void *const *inputs,

@@ -298,7 +298,8 @@ TileModelResult::toJson() const
     w.key("working_set_bytes").value(workingSetBytes);
     w.key("bytes_per_tile_point").value(perTilePointBytes);
     w.key("predicted_overlap").value(predictedOverlap);
-    w.key("machine").raw(machine.toJson());
+    if (machine)
+        w.key("machine").raw(machine->toJson());
     w.endObject();
     return w.str();
 }

@@ -18,6 +18,7 @@
 #define POLYMAGE_CORE_TILE_MODEL_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,7 +105,9 @@ struct TileModelResult
     double perTilePointBytes = 0.0;
     /** Predicted redundant-compute fraction at the chosen sizes. */
     double predictedOverlap = 0.0;
-    machine::MachineInfo machine;
+    /** The machine the model sized for; empty (and omitted from the
+     * JSON) when the model did not run. */
+    std::optional<machine::MachineInfo> machine;
 
     /** Serialized as the `tile_model` object of profile/tune JSON. */
     std::string toJson() const;

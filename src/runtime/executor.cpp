@@ -27,7 +27,8 @@ Executable::build(const dsl::PipelineSpec &spec,
     {
         obs::ScopedTrace span(&reg, "jit");
         exe.module_ = std::make_shared<JitModule>(
-            JitModule::compile(exe.compiled_->code.units, jit));
+            JitModule::compile(exe.compiled_->code.units, jit,
+                               exe.compiled_->code.unitCosts));
     }
     exe.fn_ = reinterpret_cast<PipelineFn>(
         exe.module_->symbol(exe.compiled_->code.entry));

@@ -291,7 +291,8 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
 
 JitModule
 JitModule::compile(const std::vector<std::string> &units,
-                   const JitOptions &opts)
+                   const JitOptions &opts,
+                   const std::vector<long long> &est_cost)
 {
     PM_ASSERT(!units.empty(), "JIT build without translation units");
     // -fno-math-errno lets gcc vectorise transcendental calls (expf,
@@ -404,9 +405,12 @@ JitModule::compile(const std::vector<std::string> &units,
         if (reg != nullptr) {
             const auto lines =
                 std::count(units[k].begin(), units[k].end(), '\n');
+            std::vector<std::pair<std::string, std::int64_t>> args = {
+                {"unit", std::int64_t(k)}, {"lines", std::int64_t(lines)}};
+            if (est_cost.size() == n)
+                args.emplace_back("est_cost", std::int64_t(est_cost[k]));
             reg->record("jit.unit", jobs[k].start, jobs[k].end,
-                        {{"unit", std::int64_t(k)},
-                         {"lines", std::int64_t(lines)}});
+                        std::move(args));
         }
     }
     for (std::size_t k = 0; k < n; ++k) {

@@ -61,12 +61,15 @@ class JitModule
      * objects into one shared object and load it.  A
      * single unit compiles straight to the shared object.  When a
      * trace registry is current, each job reports a `jit.unit` span
-     * (args `unit`, `lines`) and the link a `jit.link` span.
+     * (args `unit`, `lines`, and `est_cost` from @p est_cost, the
+     * generator's compile-cost estimate per unit, when it has one
+     * entry per unit) and the link a `jit.link` span.
      * @throws InternalError naming the failing unit, with its
      * diagnostics, on failure; every unit is kept on disk.
      */
     static JitModule compile(const std::vector<std::string> &units,
-                             const JitOptions &opts = {});
+                             const JitOptions &opts = {},
+                             const std::vector<long long> &est_cost = {});
 
     JitModule(JitModule &&) noexcept;
     JitModule &operator=(JitModule &&) noexcept;

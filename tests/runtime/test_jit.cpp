@@ -266,6 +266,37 @@ TEST(Jit, MultiUnitBuildLinksOneModuleWithSpans)
     EXPECT_EQ(spansNamed(back, "jit.unit").at(1).args, units[1].args);
 }
 
+TEST(Jit, UnitSpansCarryTheCostEstimate)
+{
+    // Each jit.unit span carries the generator's compile-cost estimate
+    // beside its line count, so one trace shows estimated against
+    // measured cost per unit.
+    ScopedCacheDir cache;
+    {
+        obs::TraceRegistry reg;
+        obs::ScopedCurrent install(&reg);
+        JitModule::compile(twoUnits("costed"), {}, {7, 3});
+        const auto units = spansNamed(reg.spans(), "jit.unit");
+        ASSERT_EQ(units.size(), 2u);
+        for (std::size_t k = 0; k < units.size(); ++k) {
+            ASSERT_EQ(units[k].args.size(), 3u);
+            EXPECT_EQ(units[k].args[2].first, "est_cost");
+            EXPECT_EQ(units[k].args[2].second, k == 0 ? 7 : 3);
+        }
+    }
+    // A pipeline build reports its units' estimates.
+    Executable exe = Executable::build(apps::buildUnsharpMask(256, 256),
+                                       CompileOptions::optimized());
+    const auto &costs = exe.info().code.unitCosts;
+    const auto units = spansNamed(exe.trace(), "jit.unit");
+    ASSERT_EQ(units.size(), costs.size());
+    for (std::size_t k = 0; k < units.size(); ++k) {
+        ASSERT_EQ(units[k].args.size(), 3u);
+        EXPECT_EQ(units[k].args[2].second, costs[k]);
+        EXPECT_GT(costs[k], 0);
+    }
+}
+
 TEST(Jit, MultiUnitCacheHitSkipsEveryCompiler)
 {
     ScopedCacheDir cache;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "apps/apps.hpp"
+#include "machine/machine.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/synth.hpp"
 
@@ -98,6 +99,26 @@ TEST(Profile, ExecutableTraceIncludesCompileAndJitSpans)
         driver_names.insert(s.name);
     EXPECT_FALSE(driver_names.count("jit"));
     EXPECT_TRUE(driver_names.count("codegen"));
+}
+
+TEST(Profile, TileModelRecordNamesTheMachineOnlyWhenTheModelRan)
+{
+    // Auto-tiling off: the model never ran, so its record carries no
+    // machine (it used to hold a default-constructed one).
+    CompileOptions fixed;
+    fixed.grouping.autoTile = false;
+    const auto off = compilePipeline(apps::buildHarris(256, 256), fixed);
+    const std::string none = off.tileModel.toJson();
+    EXPECT_NE(none.find("\"applied\":false"), std::string::npos) << none;
+    EXPECT_EQ(none.find("\"machine\""), std::string::npos) << none;
+
+    // Auto-tiling on: the probed machine the model sized for.
+    const auto on = compilePipeline(apps::buildHarris(256, 256),
+                                    CompileOptions::optimized());
+    const std::string probed = on.tileModel.toJson();
+    EXPECT_NE(probed.find("\"machine\":" + machine::machineInfo().toJson()),
+              std::string::npos)
+        << probed;
 }
 
 } // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -357,28 +360,61 @@ TEST(ConcurrentScheduler, ManySubmittersShareOnePool)
 
 TEST(ConcurrentScheduler, StealsHappenUnderImbalance)
 {
-    // Multi-phase jobs with skewed task cost: the worker that retires
-    // a phase seeds the whole next phase onto its own deque, so the
-    // other workers can only make progress by stealing from it.
+    // Multi-phase jobs: the worker that retires a phase seeds the whole
+    // next phase onto its own deque, so another worker can only run a
+    // task of it by stealing.  The first task to start in each later
+    // phase waits until a task of that phase has run on another
+    // thread, so the job progresses only through a steal, however the
+    // threads happen to be scheduled.  A lost wake-up fails the test
+    // after a generous timeout instead of hanging it.
+    constexpr int kPhases = 3;
+    constexpr auto kTimeout = std::chrono::seconds(60);
     SchedulerOptions opts;
     opts.workers = 4;
     TileScheduler sched(opts);
     std::atomic<long long> work{0};
+    std::atomic<int> timeouts{0};
     for (int round = 0; round < 8; ++round) {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::thread::id first[kPhases];
+        bool elsewhere[kPhases] = {};
         auto t = sched.submit(
-            [&](long long, long long lo, long long hi) {
+            [&](long long phase, long long lo, long long hi) {
+                const std::thread::id me = std::this_thread::get_id();
+                bool wait = false;
+                if (phase > 0) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    if (first[phase] == std::thread::id())
+                        first[phase] = me;
+                    wait = first[phase] == me && !elsewhere[phase];
+                }
+                if (wait) {
+                    std::unique_lock<std::mutex> lock(mu);
+                    if (!cv.wait_for(lock, kTimeout,
+                                     [&] { return elsewhere[phase]; }))
+                        ++timeouts;
+                }
                 for (long long i = lo; i <= hi; ++i) {
                     volatile long long x = 0;
                     for (int k = 0; k < (i % 7 == 0 ? 4000 : 50); ++k)
                         x = x + k;
                     work += 1;
                 }
+                if (phase > 0) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    if (first[phase] != me) {
+                        elsewhere[phase] = true;
+                        cv.notify_all();
+                    }
+                }
             },
-            {2048, 2048, 2048});
+            std::vector<long long>(kPhases, 2048));
         ASSERT_EQ(sched.wait(t), "");
     }
-    EXPECT_EQ(work.load(), 8 * 3 * 2048);
-    EXPECT_GT(sched.stats().steals, 0u);
+    EXPECT_EQ(timeouts.load(), 0);
+    EXPECT_EQ(work.load(), 8 * kPhases * 2048);
+    EXPECT_GE(sched.stats().steals, 8u * (kPhases - 1));
 }
 
 TEST(ConcurrentScheduler, DeterministicResultsUnderStealing)
