@@ -16,6 +16,9 @@
 #       Sobel pass of Harris, `scr_Ix`) auto-vectorised.
 #   off -- neither pragmas nor vector types; still builds.
 #
+# Every build uses the JIT's own flags, as `polymage_dump_source
+# --jit-flags` prints them, so the check covers the build that ships.
+#
 # Usage: scripts/check_vectorize.sh [app] [store-pattern]
 #
 # Defaults to `harris` / `scr_Ix[`.  Honours CXX (defaults to c++) and
@@ -37,9 +40,13 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 dump="$build_dir/tools/polymage_dump_source"
-# Same flags the JIT uses (runtime/jit.cpp).
-flags="-shared -fPIC -std=c++17 -w -O3 -fno-math-errno -march=native \
-       -fopenmp"
+# The flags the JIT builds every unit with (rt::jitFlags).
+jit_flags=$("$dump" --jit-flags)
+if [ -z "$jit_flags" ]; then
+    echo "check_vectorize: polymage_dump_source printed no JIT flags" >&2
+    exit 1
+fi
+flags="-shared $jit_flags"
 
 # ---- explicit mode (the default) --------------------------------------
 gen="$tmp/$app.explicit.cpp"
@@ -175,7 +182,7 @@ fi
 # shellcheck disable=SC2086
 "$cxx" $flags -o "$tmp/$app.off.so" "$gen"
 
-echo "check_vectorize: OK (explicit: $nvec pm_v_ mentions," \
+echo "check_vectorize: OK (flags: $jit_flags; explicit: $nvec pm_v_ mentions," \
      "$wide wide-register instrs, $nrem scalar remainders kept scalar;" \
      "pragma: '$pattern' interior loop" \
      "auto-vectorised, $ok loops total; off: scalar build clean)"

@@ -1,5 +1,6 @@
 #include "codegen/cexpr.hpp"
 
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -7,6 +8,7 @@
 #include <set>
 
 #include "support/diagnostics.hpp"
+#include "support/intmath.hpp"
 
 namespace polymage::cg {
 
@@ -67,6 +69,18 @@ mathFnName(MathFnKind fn, DType t)
 
 std::string emit(const Expr &e, const EmitEnv &env);
 
+/** The value of @p e when it is an integer literal that is a positive
+ * power of two, else 0. */
+std::int64_t
+powerOfTwoLiteral(const Expr &e)
+{
+    if (e.node().kind() != ExprKind::ConstInt)
+        return 0;
+    const std::int64_t v =
+        static_cast<const dsl::ConstIntNode &>(e.node()).value;
+    return isPowerOfTwo(v) ? v : 0;
+}
+
 std::string
 emitBinOp(const dsl::BinOpNode &b, const EmitEnv &env)
 {
@@ -85,6 +99,8 @@ emitBinOp(const dsl::BinOpNode &b, const EmitEnv &env)
         if (flt)
             return "(" + a + " / " + c + ")";
         // DSL integer division is floor division.
+        if (const std::int64_t d = powerOfTwoLiteral(b.b))
+            return wrapNarrow(t, floorDivLiteral(a, d));
         return wrapNarrow(
             t, (t == DType::Long ? "" : "(int)") +
                    ("pm_floordiv((long long)" + a + ", (long long)" + c +
@@ -95,6 +111,8 @@ emitBinOp(const dsl::BinOpNode &b, const EmitEnv &env)
                                                  : "__builtin_fmod") +
                    "(" + a + ", " + c + ")";
         }
+        if (const std::int64_t d = powerOfTwoLiteral(b.b))
+            return wrapNarrow(t, floorModLiteral(a, d));
         return wrapNarrow(
             t, (t == DType::Long ? "" : "(int)") +
                    ("pm_floormod((long long)" + a + ", (long long)" + c +
@@ -203,6 +221,39 @@ emit(const Expr &e, const EmitEnv &env)
 }
 
 } // namespace
+
+std::string
+floorDivLiteral(const std::string &num, std::int64_t den)
+{
+    PM_ASSERT(den > 0, "floor division by a non-positive literal");
+    if (den == 1)
+        return num;
+    if (isPowerOfTwo(den))
+        return "(" + num + " >> " +
+               std::to_string(std::countr_zero(std::uint64_t(den))) + ")";
+    return "pm_floordiv(" + num + ", " + std::to_string(den) + ")";
+}
+
+std::string
+ceilDivLiteral(const std::string &num, std::int64_t den)
+{
+    PM_ASSERT(den > 0, "ceil division by a non-positive literal");
+    if (den == 1)
+        return num;
+    if (isPowerOfTwo(den))
+        return "((" + num + " + " + std::to_string(den - 1) + ") >> " +
+               std::to_string(std::countr_zero(std::uint64_t(den))) + ")";
+    return "(-pm_floordiv(-(" + num + "), " + std::to_string(den) + "))";
+}
+
+std::string
+floorModLiteral(const std::string &num, std::int64_t den)
+{
+    PM_ASSERT(den > 0, "floor modulo by a non-positive literal");
+    if (isPowerOfTwo(den))
+        return "(" + num + " & " + std::to_string(den - 1) + ")";
+    return "pm_floormod(" + num + ", " + std::to_string(den) + ")";
+}
 
 std::string
 floatLiteral(double v, DType t)

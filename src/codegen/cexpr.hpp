@@ -7,6 +7,7 @@
 #ifndef POLYMAGE_CODEGEN_CEXPR_HPP
 #define POLYMAGE_CODEGEN_CEXPR_HPP
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -107,6 +108,20 @@ std::vector<std::string> emitAssignWithCSE(const dsl::Expr &value,
 
 /** Render a condition as a C boolean expression. */
 std::string emitCond(const dsl::Condition &c, const EmitEnv &env);
+
+/**
+ * Floor division, ceiling division and floor modulo of the integer C
+ * expression @p num by the positive literal @p den.  A power of two
+ * becomes a shift or a mask: an arithmetic right shift floors and a
+ * two's-complement mask is the non-negative residue, so both are
+ * exact for negative numerators too, and they need no optimiser to
+ * strength-reduce a division.  Other divisors call the prelude's
+ * pm_floordiv/pm_floormod.  @p num must bind at least as tightly as an
+ * additive expression (every emitExpr result does).
+ */
+std::string floorDivLiteral(const std::string &num, std::int64_t den);
+std::string ceilDivLiteral(const std::string &num, std::int64_t den);
+std::string floorModLiteral(const std::string &num, std::int64_t den);
 
 /** C literal for a floating constant of the given type. */
 std::string floatLiteral(double v, dsl::DType t);

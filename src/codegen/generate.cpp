@@ -371,19 +371,20 @@ struct CaseNest
 };
 
 /**
- * Estimated g++ cost of a generated function: one for the function,
- * one per loop and four per loop g++ is asked to vectorise (`omp simd`
- * without `if(0)`: it if-converts, versions and peels those).  A least-
- * squares fit over the 131 functions of the seven paper apps at scale
- * 0.5 (4 cores, g++ 12 -O3) gave 11 ms per function, 12 ms per loop and
- * 44 ms per `omp simd` loop; g++ time correlates 0.78 with the
- * estimate, 0.64 with the loop count and 0.37 with the source bytes.
+ * Estimated g++ cost of a generated function, in units of one loop:
+ * three for the function, one per loop and one more per loop g++ is
+ * asked to vectorise (`omp simd` without `if(0)`).  A least-squares
+ * fit of g++ CPU time over the 138 functions of the seven paper apps
+ * at scale 0.5 (each compiled alone at the JIT's flags, g++ 12 -O1,
+ * AVX-512 host) gave 15 ms per function, 5.4 ms per loop and 4.3 ms
+ * more per `omp simd` loop; g++ time correlates 0.87 with the
+ * estimate, 0.85 with the loop count and 0.70 with the source bytes.
  */
 long long
 compileCost(std::string_view text)
 {
     // Generated loops and pragmas each open a line.
-    long long cost = 1;
+    long long cost = 3;
     for (std::size_t i = 0; i < text.size();) {
         const std::size_t eol = std::min(text.find('\n', i), text.size());
         const std::string_view line = text.substr(i, eol - i);
@@ -395,7 +396,7 @@ compileCost(std::string_view text)
             else if (code.rfind("#pragma omp ", 0) == 0 &&
                      code.find("simd") != std::string_view::npos &&
                      code.find("if(0)") == std::string_view::npos)
-                cost += 3;
+                cost += 1;
         }
         i = eol + 1;
     }
@@ -405,11 +406,11 @@ compileCost(std::string_view text)
 /**
  * Estimated cost (compileCost) that pays for a unit of its own: its
  * compiler process, prelude parse and share of the link take about
- * 0.05-0.1 s, some 8 cost units.  Unsharp (cost 26, largest function
- * 13) then compiles as two units, a four-core machine runs the pyramid
- * apps as four.
+ * 0.05 s, some 10 cost units at 5 ms each.  Unsharp (cost 34, largest
+ * function 15) then compiles as three units, a four-core machine runs
+ * the pyramid apps as four.
  */
-constexpr long long kUnitCost = 8;
+constexpr long long kUnitCost = 10;
 
 /** The task entry's per-thread scratch arena (emitTaskArena). */
 constexpr const char *kTaskArenaDecl =
@@ -418,6 +419,38 @@ constexpr const char *kTaskArenaDecl =
 
 /** Most nests specializeSelects makes out of one loop dimension. */
 constexpr std::int64_t kMaxSelectSplit = 4;
+
+/** Whether the bound terms @p b are one integer literal, stored in @p v. */
+bool
+literalBound(const std::vector<std::string> &b, std::int64_t &v)
+{
+    if (b.size() != 1 || b[0].empty())
+        return false;
+    char *end = nullptr;
+    v = std::strtoll(b[0].c_str(), &end, 10);
+    return *end == '\0';
+}
+
+/**
+ * The values of @p nest's innermost loop when emitCaseNests unrolls it:
+ * a guard-free unit-step loop with literal bounds, 2..kMaxSelectSplit
+ * iterations, inside another loop.  Empty otherwise.
+ */
+std::vector<std::int64_t>
+shortInnerValues(const CaseNest &nest)
+{
+    std::int64_t lo = 0, hi = -1;
+    if (nest.dims.size() < 2 || !nest.guards.empty() ||
+        nest.dims.back().step != 1 ||
+        !literalBound(nest.dims.back().lb, lo) ||
+        !literalBound(nest.dims.back().ub, hi) || hi <= lo ||
+        hi - lo >= kMaxSelectSplit)
+        return {};
+    std::vector<std::int64_t> values;
+    for (std::int64_t v = lo; v <= hi; ++v)
+        values.push_back(v);
+    return values;
+}
 
 /** Whether a select condition in @p value reads loop variable @p var. */
 bool
@@ -755,18 +788,18 @@ class Generator
     /**
      * Vectorising the innermost loop only pays when it is long enough
      * (the paper defers this call to icc's cost model; omp simd is a
-     * demand, so we gate it on the estimated extent).
+     * demand, so we gate it on the estimated extent).  @p d is the
+     * innermost loop's dimension: the last one, or the one before it
+     * when emitCaseNests unrolls the last.
      */
     bool
-    innermostVectorizable(const pg::Stage &stage)
+    innermostVectorizable(const pg::Stage &stage, std::size_t d)
     {
         const auto &dom = stage.loopDom();
-        if (dom.empty())
+        if (d >= dom.size())
             return false;
-        auto lo = poly::evalConstant(dom.back().lower(),
-                                     g_.estimateEnv());
-        auto hi = poly::evalConstant(dom.back().upper(),
-                                     g_.estimateEnv());
+        auto lo = poly::evalConstant(dom[d].lower(), g_.estimateEnv());
+        auto hi = poly::evalConstant(dom[d].upper(), g_.estimateEnv());
         if (!lo || !hi)
             return true; // unknown: assume long
         return *hi - *lo + 1 >= 8;
@@ -784,23 +817,6 @@ class Generator
 
     std::string storeTarget(int gi, int s,
                             const std::vector<std::string> &idx);
-
-    /** Scaled ceil/floor division renderers for tile bounds. */
-    std::string
-    ceilDivStr(const std::string &num, std::int64_t den)
-    {
-        if (den == 1)
-            return num;
-        return "(-pm_floordiv(-(" + num + "), " + std::to_string(den) +
-               "))";
-    }
-    std::string
-    floorDivStr(const std::string &num, std::int64_t den)
-    {
-        if (den == 1)
-            return num;
-        return "pm_floordiv(" + num + ", " + std::to_string(den) + ")";
-    }
 
     //------------------------------------------------------------------
     // State
@@ -1323,13 +1339,6 @@ Generator::specializeSelects(const pg::Stage &stage, const dsl::Case &cs,
 {
     if (!vec_)
         return nests;
-    auto literal = [](const std::vector<std::string> &b, std::int64_t &v) {
-        if (b.size() != 1 || b[0].empty())
-            return false;
-        char *end = nullptr;
-        v = std::strtoll(b[0].c_str(), &end, 10);
-        return *end == '\0';
-    };
     const auto &vars = stage.loopVars();
     std::vector<CaseNest> out;
     std::reverse(nests.begin(), nests.end()); // a stack, front on top
@@ -1349,8 +1358,9 @@ Generator::specializeSelects(const pg::Stage &stage, const dsl::Case &cs,
                 continue;
             const int var = vars[d].id();
             std::int64_t lo = 0, hi = -1;
-            if (literal(ld.lb, lo) && literal(ld.ub, hi) && hi > lo &&
-                hi - lo < kMaxSelectSplit && selectsOn(value, var)) {
+            if (literalBound(ld.lb, lo) && literalBound(ld.ub, hi) &&
+                hi > lo && hi - lo < kMaxSelectSplit &&
+                selectsOn(value, var)) {
                 // A short literal loop (a channel axis): one nest per
                 // value, pinned in the bounds and in the value.
                 for (std::int64_t v = lo; v <= hi; ++v) {
@@ -1408,7 +1418,20 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
     // compiler no longer unswitches their outer-variable selects.
     if (!task_outer)
         nests = specializeSelects(stage, cs, std::move(nests));
+    const bool stage_vec = vec_;
     for (CaseNest &nest : nests) {
+        // A short literal innermost loop (bilateral's 2-wide channel
+        // axis `cc`) is unrolled here: one statement per value, with
+        // the variable substituted and the selects that became
+        // constant folded.  The loop around it is then the innermost
+        // one and vectorises under `omp simd`, the vector code g++ -O3
+        // found by unrolling and SLP, which -O1 does not run.
+        const std::vector<std::int64_t> unrolled = shortInnerValues(nest);
+        if (!unrolled.empty()) {
+            nest.dims.pop_back();
+            vec_ = opts_.vectorize != VectorizeMode::Off &&
+                   innermostVectorizable(stage, nest.dims.size() - 1);
+        }
         // Render the body with the invariant-hoist sink active: every
         // flat-index prefix not involving the innermost loop variable
         // lands in sink.lines as a pm_base local, declared by
@@ -1425,14 +1448,33 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         }
         const dsl::Expr &value =
             nest.value.defined() ? nest.value : cs.value();
-        const std::string target = storeTarget(gi, s, idx);
-        const std::vector<std::string> body =
-            emitAssignWithCSE(value, target, f.dtype(), env, hoist_);
-        // Attempt the explicit vector body while the hoist sink is
-        // still active: vector loads route through the same pm_base
-        // locals the scalar tail uses.
-        const std::optional<VecResult> vres = tryVectorizeNest(
-            gi, s, value, env, nest, target, parallel_outer, task_outer);
+        std::vector<std::string> body;
+        std::optional<VecResult> vres;
+        if (unrolled.empty()) {
+            const std::string target = storeTarget(gi, s, idx);
+            body = emitAssignWithCSE(value, target, f.dtype(), env, hoist_);
+            // Attempt the explicit vector body while the hoist sink is
+            // still active: vector loads route through the same pm_base
+            // locals the scalar tail uses.
+            vres = tryVectorizeNest(gi, s, value, env, nest, target,
+                                    parallel_outer, task_outer);
+        }
+        const std::size_t inner = nest.dims.size(); // the unrolled dim
+        for (const std::int64_t v : unrolled) {
+            std::vector<std::string> at = idx;
+            at[inner] = std::to_string(v);
+            std::vector<std::string> lines = emitAssignWithCSE(
+                foldSelects(dsl::substituteVars(
+                    value, {{stage.loopVars()[inner].id(), Expr(int(v))}})),
+                storeTarget(gi, s, at), f.dtype(), env, hoist_);
+            // Without the sink every statement numbers its temporaries
+            // from 0: give each its own scope.
+            if (hoist_ == nullptr) {
+                lines.insert(lines.begin(), "{");
+                lines.push_back("}");
+            }
+            body.insert(body.end(), lines.begin(), lines.end());
+        }
         hoistTmp_ = std::max(hoistTmp_, sink.counter);
         cseTmp_ = std::max(cseTmp_, sink.cseCounter);
         hoist_ = saved;
@@ -1478,6 +1520,7 @@ Generator::emitCaseNests(int gi, int s, const dsl::Case &cs,
         // group the surrounding tile loop owns the (single) phase.
         if (task_outer)
             ++phase_;
+        vec_ = stage_vec;
     }
 }
 
@@ -1537,10 +1580,12 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
             std::string start = lb;
             if (dims[d].step > 1) {
                 const std::string aligned = lb + "a";
-                w_.line("const int " + aligned + " = " + lb +
-                        " + (int)pm_floormod(" +
-                        std::to_string(dims[d].phase) + " - " + lb +
-                        ", " + std::to_string(dims[d].step) + ");");
+                w_.line("const int " + aligned + " = " + lb + " + (int)" +
+                        floorModLiteral("(" +
+                                            std::to_string(dims[d].phase) +
+                                            " - " + lb + ")",
+                                        dims[d].step) +
+                        ";");
                 start = aligned;
             }
             const std::string cnt = "pm_c" + std::to_string(tmp_);
@@ -1603,10 +1648,11 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
         if (dims[d].step > 1) {
             // Align the lower bound to the residue class and stride.
             const std::string aligned = lb + "a";
-            w_.line("const int " + aligned + " = " + lb +
-                    " + (int)pm_floormod(" +
-                    std::to_string(dims[d].phase) + " - " + lb + ", " +
-                    std::to_string(dims[d].step) + ");");
+            w_.line("const int " + aligned + " = " + lb + " + (int)" +
+                    floorModLiteral("(" + std::to_string(dims[d].phase) +
+                                        " - " + lb + ")",
+                                    dims[d].step) +
+                    ";");
             start = aligned;
             inc = dims[d].var + " += " + std::to_string(dims[d].step);
         }
@@ -1650,9 +1696,10 @@ Generator::emitLoopNest(const std::vector<LoopDim> &dims,
             // The scalar remainder runs fewer than one vector's worth of
             // iterations (with the masked epilogue, only on rows
             // shorter than a vector), so it stays scalar: `if(0)`
-            // keeps g++ -O3 from vectorising it a second time (GCC 12
-            // has no novector pragma), and the clause needs the
-            // canonical loop form, hence the fresh induction variable.
+            // keeps g++'s loop vectoriser, where flags turn it on, from
+            // vectorising it a second time (GCC 12 has no novector
+            // pragma), and the clause needs the canonical loop form,
+            // hence the fresh induction variable.
             w_.line("const int pm_rem = " + dims[d].var + ";");
             w_.line("#pragma omp simd if(0)");
             w_.open("for (int " + dims[d].var + " = pm_rem; " +
@@ -1715,7 +1762,8 @@ Generator::emitUntiledStage(int gi, int s)
     const auto &vars = f.vars();
 
     const bool saved_vec = vec_;
-    vec_ = vec_ && innermostVectorizable(stage);
+    vec_ = vec_ &&
+           innermostVectorizable(stage, stage.loopDom().size() - 1);
     for (const auto &cs : f.cases()) {
         std::map<int, std::string> var_names;
         std::vector<LoopDim> dims(vars.size());
@@ -1798,12 +1846,18 @@ Generator::emitTiledGroup(int gi)
         const std::string glo = foldMinMax(glo_terms, "pm_min_i");
         const std::string ghi = foldMinMax(ghi_terms, "pm_max_i");
         const std::string t = std::to_string(ti);
+        // Literal tile sizes divide like any literal; a runtime
+        // `pm_tau` needs the general floor division.
+        auto tile_of = [&](const std::string &g) {
+            return tauDefault_.empty()
+                       ? floorDivLiteral(g, tau[ti])
+                       : "pm_floordiv(" + g + ", " + tauTerm(ti, tau[ti]) +
+                             ")";
+        };
         w_.line("const long long tlo" + t + "_g" + std::to_string(gi) +
-                " = pm_floordiv(" + glo + ", " + tauTerm(ti, tau[ti]) +
-                ");");
+                " = " + tile_of(glo) + ";");
         w_.line("const long long thi" + t + "_g" + std::to_string(gi) +
-                " = pm_floordiv(" + ghi + ", " + tauTerm(ti, tau[ti]) +
-                ");");
+                " = " + tile_of(ghi) + ";");
         tlo[ti] = "tlo" + t + "_g" + std::to_string(gi);
         thi[ti] = "thi" + t + "_g" + std::to_string(gi);
     }
@@ -1953,7 +2007,7 @@ Generator::scratchOrigins(int gi, const std::vector<int> &tiled,
                 const std::string name =
                     "ob_" + stageName(s) + "_" + std::to_string(ti);
                 defs.emplace_back(name, "const int " + name + " = (int)" +
-                                            ceilDivStr(raw, m.scale[d]) +
+                                            ceilDivLiteral(raw, m.scale[d]) +
                                             ";");
             }
         }
@@ -2050,7 +2104,8 @@ Generator::emitTiledStage(int gi, int s, const std::vector<int> &tiled,
     const int lvl = grp.localLevel.at(s);
 
     const bool saved_vec = vec_;
-    vec_ = vec_ && innermostVectorizable(stage);
+    vec_ = vec_ &&
+           innermostVectorizable(stage, stage.loopDom().size() - 1);
     for (const auto &cs : f.cases()) {
         std::map<int, std::string> var_names;
         std::vector<LoopDim> dims(vars.size());
@@ -2083,8 +2138,8 @@ Generator::emitTiledStage(int gi, int s, const std::vector<int> &tiled,
             const std::string hi_raw =
                 "(" + tauTermLL(ti, tau[ti]) + " * " + t + " + " +
                 hi_add + ")";
-            dims[d].lb.push_back(ceilDivStr(lo_raw, m.scale[d]));
-            dims[d].ub.push_back(floorDivStr(hi_raw, m.scale[d]));
+            dims[d].lb.push_back(ceilDivLiteral(lo_raw, m.scale[d]));
+            dims[d].ub.push_back(floorDivLiteral(hi_raw, m.scale[d]));
         }
         std::vector<std::string> idx;
         for (const auto &v : vars)
@@ -2236,6 +2291,8 @@ Generator::emitAccumulator(int gi, int s)
             w_.line(std::string(ty) + " *pm_priv = (" + ty +
                     " *)pm_alloc((long long)sizeof(" + ty + ") * (" +
                     cells + "));");
+            // The init and merge loops are element-wise: vector code.
+            w_.line("#pragma omp simd");
             w_.open("for (long long pm_i = 0; pm_i < (" + cells +
                     "); ++pm_i)");
             w_.line("pm_priv[pm_i] = (" + std::string(ty) + ")(" +
@@ -2253,6 +2310,7 @@ Generator::emitAccumulator(int gi, int s)
             w_.open("");
             const std::string out_cell =
                 use("buf_" + stageName(s)) + "[pm_i]";
+            w_.line("#pragma omp simd");
             w_.open("for (long long pm_i = 0; pm_i < (" + cells +
                     "); ++pm_i)");
             w_.line(out_cell + " = " +

@@ -178,8 +178,9 @@ struct GeneratedCode
      * shared object.
      */
     std::vector<std::string> units;
-    /** The estimated compile cost of each of `units` (loops, `omp
-     * simd` loops weighted 3; the `est_cost` of its `jit.unit` span). */
+    /** The estimated compile cost of each of `units` (compileCost: 3
+     * per function, 1 per loop, `omp simd` loops weighted 2; the
+     * `est_cost` of its `jit.unit` span). */
     std::vector<long long> unitCosts;
     /**
      * Entry symbol:

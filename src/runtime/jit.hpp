@@ -1,11 +1,14 @@
 /**
  * @file
  * JIT harness: compiles generated C++ with the system compiler into a
- * shared object and loads it, mirroring how PolyMage's generated code
- * was built with icc in the paper (here: g++ -O3 -march=native
- * -fopenmp).  A multi-unit build compiles its translation units as
- * concurrent `g++ -c` jobs and links the objects with one
- * `g++ -shared` (docs/INTERNALS.md, "JIT units").
+ * shared object and loads it, as PolyMage's generated code was built
+ * with icc -O3 in the paper.  Here it is g++ -O1 -march=native
+ * -fopenmp: the generator itself does the vectorisation, address
+ * hoisting, select specialisation, power-of-two strength reduction and
+ * short-loop unrolling that -O3 would otherwise supply (jitFlags).  A
+ * multi-unit build compiles its translation units as concurrent
+ * `g++ -c` jobs and links the objects with one `g++ -shared`
+ * (docs/INTERNALS.md, "JIT units").
  */
 #ifndef POLYMAGE_RUNTIME_JIT_HPP
 #define POLYMAGE_RUNTIME_JIT_HPP
@@ -20,7 +23,6 @@ namespace polymage::rt {
 struct JitOptions
 {
     std::string compiler = "g++";
-    std::string optLevel = "-O3";
     bool nativeArch = true;
     bool openmp = true;
     /** When false, auto-vectorisation is disabled (-fno-tree-vectorize). */
@@ -42,6 +44,13 @@ struct JitOptions
      */
     bool cache = true;
 };
+
+/**
+ * The compiler flags of every JIT job for @p opts, without the
+ * compiler, `-c`/`-shared` and file names.  One source for the build
+ * and for scripts that check it (`polymage_dump_source --jit-flags`).
+ */
+std::vector<std::string> jitFlags(const JitOptions &opts = {});
 
 /** A compiled and loaded shared object. */
 class JitModule

@@ -135,6 +135,18 @@ TEST_P(ExecVariants, TimeIterated)
                             variant().name);
 }
 
+TEST_P(ExecVariants, FloorDivModNegativeNumerators)
+{
+    // x - 7 spans -7..56: the power-of-two shift and mask must floor
+    // exactly below zero, as the general helpers do for divisor 3.
+    for (std::int64_t d : {4, 3}) {
+        auto t = testing::makeFloorDivMod(64, d);
+        Buffer in = randomBuffer(DType::Float, {64}, 8);
+        checkAgainstInterpreter(t.spec, {64}, {&in}, variant().opts, 0,
+                                variant().name);
+    }
+}
+
 std::string
 variantName(const ::testing::TestParamInfo<int> &info)
 {

@@ -9,6 +9,7 @@
  * POLYMAGE_TILE_SCHEDULE driver overrides.
  */
 #include <cstdlib>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -90,14 +91,22 @@ TEST(Partition, GuardedNestsDropTheSimdPragma)
     opts.codegen.partition = false;
     auto guarded = compilePipeline(t.spec, opts);
     auto split = compilePipeline(t.spec);
+    // Vectorised loops only: the scalar remainders' `omp simd if(0)`
+    // asks for no vector code.
+    auto simd_loops = [](const std::string &body) {
+        int n = 0;
+        std::istringstream in(body);
+        for (std::string l; std::getline(in, l);) {
+            if (l.find("#pragma omp") != std::string::npos &&
+                l.find(" simd") != std::string::npos &&
+                l.find("if(0)") == std::string::npos)
+                ++n;
+        }
+        return n;
+    };
     // The guarded sweep has one simd-annotated nest (the interior
     // case); the partitioned code vectorises every strip as well.
-    EXPECT_GT(countOccurrences(entryBody(split), "#pragma omp simd") +
-                  countOccurrences(entryBody(split),
-                                   "parallel for simd"),
-              countOccurrences(entryBody(guarded), "#pragma omp simd") +
-                  countOccurrences(entryBody(guarded),
-                                   "parallel for simd"));
+    EXPECT_GT(simd_loops(entryBody(split)), simd_loops(entryBody(guarded)));
 }
 
 TEST(Partition, WorksInsideOverlappedTileGroups)

@@ -539,8 +539,11 @@ TEST(CodegenUnits, OuterSelectsSpecialisedPerChannelAndParity)
     auto c = compilePipeline(apps::buildCameraPipeline(2528, 1920),
                              CompileOptions{});
     EXPECT_EQ(c.code.source.find("(c == "), std::string::npos);
+    // Neither parity form is left: the general floor modulo nor the
+    // mask a power-of-two modulus renders as.
     EXPECT_EQ(c.code.source.find("pm_floormod((long long)x"),
               std::string::npos);
+    EXPECT_EQ(c.code.source.find("(x & 1)"), std::string::npos);
     EXPECT_NE(c.code.source.find("x += 2)"), std::string::npos);
 }
 
@@ -553,6 +556,80 @@ TEST(CodegenFeatures, ParityCasesBecomeStridedLoops)
     EXPECT_EQ(c.code.source.find("pm_floormod((long long)y, (long "
                                  "long)2) == 0"),
               std::string::npos);
+    EXPECT_EQ(c.code.source.find("(y & 1) == 0"), std::string::npos);
+}
+
+TEST(CodegenFeatures, PowerOfTwoDivModEmitShiftsAndMasks)
+{
+    // Floor division and modulo by a power-of-two literal are a shift
+    // and a mask; other divisors keep the general helpers.
+    auto t = polymage::testing::makeFloorDivMod(64, 4);
+    auto c = compilePipeline(t.spec);
+    EXPECT_NE(c.code.source.find("((x - 7) >> 2)"), std::string::npos);
+    EXPECT_NE(c.code.source.find("((x - 7) & 3)"), std::string::npos);
+    EXPECT_EQ(c.code.source.find("pm_floordiv((long long)"),
+              std::string::npos);
+    EXPECT_EQ(c.code.source.find("pm_floormod((long long)"),
+              std::string::npos);
+    auto odd =
+        compilePipeline(polymage::testing::makeFloorDivMod(64, 3).spec);
+    EXPECT_NE(odd.code.source.find("pm_floordiv((long long)"),
+              std::string::npos);
+    EXPECT_NE(odd.code.source.find("pm_floormod((long long)"),
+              std::string::npos);
+}
+
+/** The line of @p src holding position @p pos, without its indent. */
+std::string
+lineAt(const std::string &src, std::size_t pos)
+{
+    const std::size_t begin = src.rfind('\n', pos) + 1; // npos + 1 == 0
+    const std::size_t first = src.find_first_not_of(' ', begin);
+    return src.substr(first, src.find('\n', first) - first);
+}
+
+TEST(CodegenFeatures, ShortLiteralInnerLoopsAreUnrolled)
+{
+    // Bilateral's grid blurs end in the 2-wide channel axis `cc`:
+    // literal bounds, so the generator writes one statement per
+    // channel, folds the `cc == 0` selects and vectorises the `gz`
+    // loop around them instead.
+    auto c = compilePipeline(apps::buildBilateralGrid(1024, 1024));
+    const std::string &src = c.code.source;
+    for (const char *blur : {"blurz", "blurx", "blury"}) {
+        SCOPED_TRACE(blur);
+        const std::size_t fn = src.find(std::string("// ") + blur + ",");
+        ASSERT_NE(fn, std::string::npos);
+        const std::string body = src.substr(fn, src.find("\n}", fn) - fn);
+        EXPECT_EQ(body.find("for (int cc "), std::string::npos);
+        EXPECT_EQ(body.find("cc == "), std::string::npos);
+        const std::size_t gz = body.find("for (int gz ");
+        ASSERT_NE(gz, std::string::npos);
+        EXPECT_EQ(lineAt(body, body.rfind('\n', gz) - 1),
+                  "#pragma omp simd");
+        EXPECT_EQ(countOccurrences(body, "buf_" + std::string(blur) + "["),
+                  2);
+    }
+}
+
+TEST(CodegenFeatures, PrivatisedInitAndMergeLoopsAreSimd)
+{
+    // The private copy's init loop and the merge under `omp critical`
+    // are element-wise, so both are vector loops.
+    auto t = polymage::testing::makeHistogram(512);
+    auto c = compilePipeline(t.spec);
+    const std::string &src = c.code.source;
+    const std::string loop = "for (long long pm_i = 0;";
+    std::vector<std::size_t> at;
+    for (std::size_t pos = src.find(loop); pos != std::string::npos;
+         pos = src.find(loop, pos + 1)) {
+        EXPECT_EQ(lineAt(src, src.rfind('\n', pos) - 1), "#pragma omp simd");
+        at.push_back(pos);
+    }
+    ASSERT_EQ(at.size(), 2u); // init, merge
+    const std::size_t critical = src.find("#pragma omp critical");
+    EXPECT_LT(at[0], critical);
+    EXPECT_GT(at[1], critical);
 }
 
 TEST(CodegenFeatures, ReductionsPrivatisedUnderOpenMP)

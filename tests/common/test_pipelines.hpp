@@ -82,6 +82,32 @@ makeBlurChain(std::int64_t est = 64)
     return t;
 }
 
+/**
+ * Floor division and modulo with numerators of both signs:
+ * out(x) = I(x) + 10 * ((x - 7) / d) + (x - 7) % d on [0, R-1].
+ */
+inline TinyPipeline
+makeFloorDivMod(std::int64_t est = 64, std::int64_t d = 4)
+{
+    TinyPipeline t;
+    using namespace dsl;
+    Image I("I", DType::Float, {Expr(t.R)});
+    Variable x("x");
+    Function out("out", {x}, {Interval(Expr(0), Expr(t.R) - 1)},
+                 DType::Float);
+    // Two separate numerator trees, so neither becomes a shared
+    // temporary and both operators render inline.
+    const Expr q = (Expr(x) - 7) / Expr(int(d));
+    const Expr r = (Expr(x) - 7) % Expr(int(d));
+    out.define(I(x) + cast(DType::Float, q * 10 + r));
+    t.spec = PipelineSpec("floor_div_mod");
+    t.spec.addParam(t.R);
+    t.spec.addInput(I);
+    t.spec.addOutput(out);
+    t.spec.estimate(t.R, est);
+    return t;
+}
+
 /** 1-D upsample: up(x) = base(x/2), base(x) = I(x)*0.5. */
 inline TinyPipeline
 makeUpsample(std::int64_t est = 64)

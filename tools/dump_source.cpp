@@ -6,6 +6,9 @@
  * the codegen produces:
  *
  *   ./polymage_dump_source harris [rows cols] > harris.gen.cpp
+ *
+ * `--jit-flags` prints the compiler flags the JIT builds every unit
+ * with (rt::jitFlags), so a script compiles the dump as the JIT would.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +17,7 @@
 
 #include "apps/apps.hpp"
 #include "driver/compiler.hpp"
+#include "runtime/jit.hpp"
 
 using namespace polymage;
 
@@ -21,6 +25,13 @@ int
 main(int argc, char **argv)
 {
     const std::string app = argc > 1 ? argv[1] : "harris";
+    if (app == "--jit-flags") {
+        std::string line;
+        for (const auto &f : rt::jitFlags())
+            line += (line.empty() ? "" : " ") + f;
+        std::printf("%s\n", line.c_str());
+        return 0;
+    }
     const std::int64_t r = argc > 2 ? std::atoll(argv[2]) : 2048;
     const std::int64_t c = argc > 3 ? std::atoll(argv[3]) : 2048;
 
@@ -38,8 +49,8 @@ main(int argc, char **argv)
     else {
         std::fprintf(stderr,
                      "usage: %s {harris|unsharp|bilateral|camera|"
-                     "pyramid} [rows cols]\n",
-                     argv[0]);
+                     "pyramid} [rows cols]\n       %s --jit-flags\n",
+                     argv[0], argv[0]);
         return 2;
     }
 
